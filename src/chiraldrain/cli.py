@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -430,6 +431,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("axis values must be nonnegative")
     ensemble = cfg.get("ensemble", fallback=20 if axis == "disorder" else 1)
     ensemble = int(ensemble)
+    if ensemble < 1:
+        raise UsageError(f"ensemble must be >= 1, got {ensemble}")
     seed = int(cfg.get("seed"))
     jobs = cfg.values.get("jobs")
     if jobs is None:
@@ -457,16 +460,15 @@ def cmd_sweep(args) -> int:
             )
     results = []
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_sweep_point, tasks))
-        else:
-            for task in tasks:
-                results.append(_sweep_point(task))
+        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            # results arrive in task order, so tasks[len(results)] is the one that failed
+            for result in (pool.map if pool else map)(_sweep_point, tasks):
+                results.append(result)
     except (steady.DarkModeError, spectral.SolverError) as exc:
-        failed = tasks[len(results)] if len(results) < len(tasks) and jobs == 1 else None
-        where = f" (realization seed {failed[3]}, value {failed[2]})" if failed else ""
-        raise spectral.SolverError(f"sweep realization failed{where}: {exc}") from exc
+        failed = tasks[len(results)]
+        raise spectral.SolverError(
+            f"sweep realization failed (realization seed {failed[3]}, value {failed[2]}): {exc}"
+        ) from exc
 
     axis_column = "disorder_variance" if axis == "disorder" else "gamma_loss"
     csv_path = os.path.join(out, "sweep.csv")

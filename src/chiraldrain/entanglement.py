@@ -3,9 +3,13 @@
 Entanglement between two sites is measured by the logarithmic negativity
 ``E_N = max(0, -ln(2*nu))`` where ``nu`` is the smallest symplectic
 eigenvalue of the partially transposed two-mode covariance (natural log,
-vacuum variance 1/2).  For the square-lattice steady states whose pairing
-matrix maps (x, y) to (y, x), the headline figure of merit is the average
-of ``E_N`` over all mirrored pairs.
+vacuum variance 1/2).  For a two-mode covariance ``[[A, C], [C^T, B]]`` it
+follows from the local invariants, ``2 nu^2 = Delta - sqrt(Delta^2 - 4 det)``
+with ``Delta = det A + det B - 2 det C`` (Serafini, Illuminati and De Siena,
+J. Phys. B 37, L21 (2004)), and is evaluated in the cancellation-free form
+``nu^2 = 2 det / (Delta + sqrt(Delta^2 - 4 det))``.  For the square-lattice
+steady states whose pairing matrix maps (x, y) to (y, x), the headline
+figure of merit is the average of ``E_N`` over all mirrored pairs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice
-from .steady import CovarianceState, SqueezedNoise
+from .steady import CovarianceState, SqueezedNoise, quadrature_covariance, symplectic_form
 from .symmetry import SymmetryMatrix
 
 __all__ = [
@@ -29,14 +33,9 @@ __all__ = [
 ]
 
 # Interleaved (x_m, p_m, x_n, p_n) symplectic form for two modes.
-_OMEGA4 = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
+_OMEGA4 = np.kron(np.eye(2), symplectic_form(1))
+# Reorders quadrature_covariance's (x_m, x_n, p_m, p_n) into that order; an involution.
+_INTERLEAVE = [0, 2, 1, 3]
 
 
 @dataclass(frozen=True)
@@ -61,16 +60,29 @@ def reduced_covariance(state: CovarianceState, m: int, n: int) -> TwoModeCovaria
     for idx in (m, n):
         if not 0 <= idx < n_modes:
             raise IndexError(f"site {idx} out of range 0..{n_modes - 1}")
-    nm, am = state.normal, state.anomalous
-    cov = np.zeros((4, 4))
-    for a, i in enumerate((m, n)):
-        for b, j in enumerate((m, n)):
-            delta = 0.5 if i == j else 0.0
-            cov[2 * a, 2 * b] = delta + nm[i, j].real + am[i, j].real
-            cov[2 * a + 1, 2 * b + 1] = delta + nm[i, j].real - am[i, j].real
-            cov[2 * a, 2 * b + 1] = am[i, j].imag + nm[i, j].imag
-            cov[2 * a + 1, 2 * b] = am[i, j].imag - nm[i, j].imag
+    cov = quadrature_covariance(state, [m, n])[np.ix_(_INTERLEAVE, _INTERLEAVE)]
     return TwoModeCovariance(cov=cov, pair=(m, n))
+
+
+def _log_negativities(cov: np.ndarray, pairs: list) -> np.ndarray:
+    """Logarithmic negativity of each pair marginal in a ``(P, 4, 4)`` stack.
+
+    ``pairs[k]`` names the sites of ``cov[k]``; the first pair whose marginal
+    is unphysical is named in the ValueError raised for it.
+    """
+    margins = np.linalg.eigvalsh(cov + 0.5j * _OMEGA4).min(axis=1)
+    bad = np.flatnonzero(margins < -1e-8)
+    if bad.size:
+        raise ValueError(
+            f"two-mode covariance of pair {tuple(pairs[bad[0]])} is unphysical "
+            f"(margin {margins[bad[0]]:.3e})"
+        )
+    det = np.linalg.det
+    # partial transposition flips the sign of det(C) and keeps det(sigma)
+    delta = det(cov[:, :2, :2]) + det(cov[:, 2:, 2:]) - 2.0 * det(cov[:, :2, 2:])
+    det_cov = det(cov)
+    nu_sq = 2.0 * det_cov / (delta + np.sqrt(np.maximum(delta**2 - 4.0 * det_cov, 0.0)))
+    return np.maximum(0.0, -0.5 * np.log(4.0 * nu_sq))
 
 
 def log_negativity(state: CovarianceState, m: int, n: int) -> float:
@@ -80,15 +92,7 @@ def log_negativity(state: CovarianceState, m: int, n: int) -> float:
     exactly.  Raises when the marginal itself is unphysical.
     """
     reduced = reduced_covariance(state, min(m, n), max(m, n))
-    if reduced.physicality_margin() < -1e-8:
-        raise ValueError(
-            f"two-mode covariance of pair {reduced.pair} is unphysical "
-            f"(margin {reduced.physicality_margin():.3e})"
-        )
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    transposed = flip @ reduced.cov @ flip
-    nu_min = float(np.abs(np.linalg.eigvals(1j * _OMEGA4 @ transposed)).min())
-    return max(0.0, -np.log(2.0 * nu_min))
+    return float(_log_negativities(reduced.cov[None], [reduced.pair])[0])
 
 
 def _square_grid(lattice: Lattice) -> dict[tuple[int, int], int]:
@@ -116,10 +120,10 @@ def mirrored_pair_average(state: CovarianceState, lattice: Lattice) -> float:
     """
     coords = _square_grid(lattice)
     n = lattice.n_sites
-    total = 0.0
-    for (x, y), idx in coords.items():
-        if x != y:
-            total += log_negativity(state, idx, coords[(y, x)])
+    # one canonically ordered (m < n) row per unordered pair, counted twice below
+    pairs = np.sort([(idx, coords[(y, x)]) for (x, y), idx in coords.items() if x > y], axis=1)
+    cov = quadrature_covariance(state, pairs)[:, _INTERLEAVE][:, :, _INTERLEAVE]
+    total = 2.0 * _log_negativities(cov, pairs.tolist()).sum()
     return float(np.log(np.sqrt(2.0)) / (n - np.sqrt(n)) * total)
 
 
@@ -157,12 +161,6 @@ def nullifier_variances(state: CovarianceState, nullifier: NullifierMatrix) -> n
     n = state.n_modes
     if a.shape != (n, n):
         raise ValueError(f"nullifier is {a.shape}, state has {n} modes")
-    re_n, im_n = state.normal.real, state.normal.imag
-    re_m, im_m = state.anomalous.real, state.anomalous.imag
-    half = 0.5 * np.eye(n)
-    cxx = half + re_n + re_m
-    cpp = half + re_n - re_m
-    cxp = im_m + im_n
-    ax = a @ cxp
-    cov = cpp - ax - ax.T + a @ cxx @ a.T
-    return np.diag(cov).copy()
+    # each nullifier is the row of [-A, I] acting on (x..., p...)
+    rows = np.hstack([-a, np.eye(n)])
+    return ((rows @ quadrature_covariance(state)) * rows).sum(axis=1)

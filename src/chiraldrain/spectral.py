@@ -136,6 +136,15 @@ def degenerate_groups(energies: np.ndarray, threshold: float) -> list[list[int]]
     return groups
 
 
+def _eigensystem(h: np.ndarray, energies: np.ndarray, modes: np.ndarray) -> EigenSystem:
+    """Eigenbasis of ``h``, its defect, and the flagged degenerate subspaces."""
+    residual = float(np.abs(h - (modes * energies) @ modes.conj().T).max())
+    scale = max(float(np.abs(energies).max()), 1e-300)
+    groups = degenerate_groups(energies, DEGENERACY_RTOL * scale)
+    flagged = tuple(tuple(g) for g in groups if len(g) > 1)
+    return EigenSystem(energies=energies, modes=modes, residual=residual, degenerate=flagged)
+
+
 def diagonalize(lattice: Lattice) -> EigenSystem:
     """Full eigendecomposition of the lattice matrix, energies ascending."""
     h = lattice.hamiltonian
@@ -144,19 +153,13 @@ def diagonalize(lattice: Lattice) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         cond = np.linalg.cond(h) if h.size else np.inf
         raise SolverError(f"eigendecomposition failed (cond ~ {cond:.3e}): {exc}") from exc
-    residual = float(np.abs(h - (modes * energies) @ modes.conj().T).max())
-    scale = max(float(np.abs(energies).max()), 1e-300)
-    groups = degenerate_groups(energies, DEGENERACY_RTOL * scale)
-    flagged = tuple(tuple(g) for g in groups if len(g) > 1)
-    return EigenSystem(energies=energies, modes=modes, residual=residual, degenerate=flagged)
+    return _eigensystem(h, energies, modes)
 
 
 def _rotate_degenerate(modes: np.ndarray, drain: int, groups) -> np.ndarray:
     """Within each degenerate group, concentrate the drain weight on one mode."""
     out = modes.copy()
     for group in groups:
-        if len(group) < 2:
-            continue
         amps = out[drain, group]
         weight = np.linalg.norm(amps)
         if weight == 0.0:
@@ -245,15 +248,12 @@ def chiral_pairing(coupling: DrainCoupling, tol: float | None = None) -> ChiralP
     # Order degenerate clusters so the inward sweep pairs bright with bright
     # and dark with dark: bright first on the negative side, bright last on
     # the positive side.
-    scale = max(float(np.abs(energies).max()), 1e-300)
-    clusters = degenerate_groups(energies, DEGENERACY_RTOL * scale)
-    order_list: list[int] = []
-    for cluster in clusters:
-        if energies[cluster].mean() < 0:
-            order_list.extend(sorted(cluster, key=lambda i: -coupling.rates[i]))
-        else:
-            order_list.extend(sorted(cluster, key=lambda i: coupling.rates[i]))
-    order = np.asarray(order_list, dtype=int)
+    order = np.arange(n)
+    for group in coupling.eig.degenerate:
+        cluster = np.asarray(group)
+        rates = coupling.rates[cluster]
+        key = -rates if energies[cluster].mean() < 0 else rates
+        order[cluster] = cluster[np.argsort(key, kind="stable")]
     partner = np.full(n, -1, dtype=int)
     energy_defect = 0.0
     i, j = 0, n - 1

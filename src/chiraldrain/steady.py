@@ -71,6 +71,10 @@ class DarkModeError(ValueError):
         super().__init__(message)
         self.dark = dark
 
+    def __reduce__(self):
+        # the default replays only the message; process pools need the round trip
+        return type(self), (self.dark, str(self))
+
 
 class PairingError(ValueError):
     """The chiral pairing defects exceed the caller's tolerance."""
@@ -152,11 +156,20 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.block([[zero, eye], [-eye, zero]])
 
 
-def quadrature_covariance(state: CovarianceState) -> np.ndarray:
-    """Real 2N x 2N symmetrized covariance in (x..., p...) ordering."""
-    re_n, im_n = state.normal.real, state.normal.imag
-    re_m, im_m = state.anomalous.real, state.anomalous.imag
-    half = VACUUM_VARIANCE * np.eye(state.n_modes)
+def quadrature_covariance(state: CovarianceState, sites=None) -> np.ndarray:
+    """Real symmetrized covariance in (x..., p...) ordering: the full 2N x 2N
+    matrix, or for ``sites`` of shape ``(..., k)`` the ``(..., 2k, 2k)``
+    marginals, the rows and columns of the full matrix for those sites."""
+    normal, anomalous = state.normal, state.anomalous
+    if sites is None:
+        half = VACUUM_VARIANCE * np.eye(state.n_modes)
+    else:
+        sites = np.asarray(sites)
+        rows, cols = sites[..., :, None], sites[..., None, :]
+        normal, anomalous = normal[rows, cols], anomalous[rows, cols]
+        half = VACUUM_VARIANCE * (rows == cols)
+    re_n, im_n = normal.real, normal.imag
+    re_m, im_m = anomalous.real, anomalous.imag
     return np.block(
         [
             [half + re_n + re_m, im_m + im_n],

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Lattice, Site, build_hofstadter, hofstadter_sites
-from .spectral import EigenSystem, degenerate_groups, DEGENERACY_RTOL
+from .spectral import EigenSystem, _eigensystem
 
 __all__ = [
     "SymmetryMatrix",
@@ -261,8 +261,4 @@ def phi_zero_eigenmodes(half_size: int, hopping: float = 1.0) -> EigenSystem:
     energies = energies[order]
     modes = modes[:, order]
     h = build_hofstadter(m, hopping, 0.0).hamiltonian
-    residual = float(np.abs(h - (modes * energies) @ modes.conj().T).max())
-    scale = max(float(np.abs(energies).max()), 1e-300)
-    groups = degenerate_groups(energies, DEGENERACY_RTOL * scale)
-    flagged = tuple(tuple(g) for g in groups if len(g) > 1)
-    return EigenSystem(energies=energies, modes=modes, residual=residual, degenerate=flagged)
+    return _eigensystem(h, energies, modes)

@@ -236,6 +236,38 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "model, failing_value",
+        [
+            (("--model", "chain", "--sites", "3", "--drain", "1", "--values", "0"), 0),
+            # both realizations at 1e-2 solve; the first one at 0 must be named
+            (("--half-size", "1", "--drain", "1,1", "--values", "1e-2,0"), 1),
+        ],
+        ids=["first-task", "after-successes"],
+    )
+    def test_dark_mode_failure_names_seed_at_any_job_count(
+        self, tmp_path, capsys, model, failing_value
+    ):
+        errors = []
+        for jobs in ("1", "2"):
+            code = run(
+                "sweep", *model, "--axis", "disorder", "--ensemble", "2",
+                "--jobs", jobs, "--out", str(tmp_path / jobs),
+            )
+            assert code == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        seed = cli._realization_seed(0, failing_value, 0)
+        assert f"(realization seed {seed}, value 0.0)" in errors[0] and "dark" in errors[0]
+
+    def test_ensemble_below_one_rejected(self, tmp_path):
+        code = run(
+            "sweep", "--axis", "loss", "--values", "0.1", "--ensemble", "0",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert not (tmp_path / "sweep_summary.json").exists()
+
     def test_zero_variance_matches_clean_value(self, tmp_path):
         code = run(
             "sweep", "--axis", "disorder", "--values", "0", "--ensemble", "2",

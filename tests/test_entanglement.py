@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,23 @@ def negativity_from_determinants(cov):
     s = a + b - 2 * c
     nu2 = (s - np.sqrt(s**2 - 4 * d)) / 2
     return max(0.0, -np.log(2.0 * np.sqrt(nu2)))
+
+
+def negativity_from_eigenvalues(cov):
+    """The smallest PT symplectic eigenvalue as min |eig(i Omega sigma^PT)|,
+    in the interleaved (x_m, p_m, x_n, p_n) ordering."""
+    omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    nu = np.abs(np.linalg.eigvals(1j * omega @ flip @ cov @ flip)).min()
+    return max(0.0, -np.log(2.0 * nu))
+
+
+def mirrored_pairs(hof):
+    half = int(round(np.sqrt(hof.n_sites))) // 2
+    coords = range(-half, half + 1)
+    return [
+        (hof.site_index((x, y)), hof.site_index((y, x))) for x in coords for y in coords if x != y
+    ]
 
 
 def hofstadter_state(r=1.0, loss=0.0):
@@ -113,8 +132,9 @@ class TestLogNegativity:
         for ca, cb in pairs:
             m, n = hof.site_index(ca), hof.site_index(cb)
             mine = ent.log_negativity(state, m, n)
-            oracle = negativity_from_determinants(ent.reduced_covariance(state, m, n).cov)
-            assert abs(mine - oracle) < 1e-9
+            cov = ent.reduced_covariance(state, m, n).cov
+            assert abs(mine - negativity_from_determinants(cov)) < 1e-9
+            assert abs(mine - negativity_from_eigenvalues(cov)) < 1e-9
 
     @pytest.mark.parametrize("case", CORPUS[:4] + CORPUS[-2:], ids=CORPUS_IDS[:4] + CORPUS_IDS[-2:])
     def test_drain_site_unentangled(self, case):
@@ -152,6 +172,34 @@ class TestMirroredPairAverage:
         assert ent.mirrored_pair_average(lossy, hof) < ent.mirrored_pair_average(
             clean, hof
         )
+
+    def test_batched_average_matches_per_pair_routes(self):
+        hof, drain, state = hofstadter_state(r=0.9, loss=0.01)
+        pairs = mirrored_pairs(hof)
+        assert len(pairs) == 72
+        per_pair = sum(ent.log_negativity(state, m, n) for m, n in pairs)
+        oracle = sum(
+            negativity_from_eigenvalues(ent.reduced_covariance(state, m, n).cov) for m, n in pairs
+        )
+        average = ent.mirrored_pair_average(state, hof)
+        assert average > 0.01
+        for total in (per_pair, oracle):
+            expect = np.log(np.sqrt(2.0)) / (81 - 9) * total
+            assert abs(average - expect) < 1e-12 * expect
+
+    def test_unphysical_marginal_rejected(self):
+        # anomalous correlations on a mirrored pair with no occupation to
+        # support them: |<a_m a_n>|^2 > <adag_m a_m><adag_n a_n + 1>
+        hof = lat.build_hofstadter(1)
+        m, n = hof.site_index((1, 0)), hof.site_index((0, 1))
+        anomalous = np.zeros((9, 9), dtype=complex)
+        anomalous[m, n] = anomalous[n, m] = 0.3
+        state = steady.CovarianceState(normal=np.zeros((9, 9), dtype=complex), anomalous=anomalous)
+        pair = re.escape(f"pair {(min(m, n), max(m, n))}")
+        with pytest.raises(ValueError, match=pair):
+            ent.log_negativity(state, n, m)
+        with pytest.raises(ValueError, match=pair):
+            ent.mirrored_pair_average(state, hof)
 
     def test_non_square_rejected(self):
         chain = lat.build_chain(4)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,10 @@ class TestSteadyState:
             solve(lat.build_chain(3), 1)
         assert err.value.dark == (1,)
         assert "1" in str(err.value)
+        # process pools carry the error back from their workers by pickle
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is steady.DarkModeError
+        assert back.dark == err.value.dark and str(back) == str(err.value)
 
     def test_dark_modes_allowed_with_loss(self):
         state = solve(lat.build_chain(3), 1, loss=0.05)
@@ -238,6 +244,22 @@ class TestAnalyticChiralState:
         cpl, pairing = coupling_and_pairing(lat.build_chain(3), 1)
         with pytest.raises(steady.DarkModeError):
             steady.analytic_chiral_state(cpl, pairing, steady.SqueezedNoise(0.5))
+
+
+class TestQuadratureCovariance:
+    def test_marginals_are_rows_and_columns_of_full_matrix(self):
+        state = solve(lat.build_hofstadter(1, 1.0, np.pi / 2), 4, loss=0.05)
+        full = steady.quadrature_covariance(state)
+        assert full.shape == (18, 18)
+        sites = np.array([[[0, 4], [8, 3]], [[5, 1], [2, 7]], [[6, 6], [1, 0]]])
+        marginals = steady.quadrature_covariance(state, sites)
+        assert marginals.shape == (3, 2, 4, 4)
+        for idx in np.ndindex(sites.shape[:-1]):
+            rows = np.concatenate([sites[idx], sites[idx] + 9])
+            assert np.array_equal(marginals[idx], full[np.ix_(rows, rows)])
+        rows = [2, 5, 7, 11, 14, 16]
+        triple = steady.quadrature_covariance(state, [2, 5, 7])
+        assert np.array_equal(triple, full[np.ix_(rows, rows)])
 
 
 class TestPurity:
