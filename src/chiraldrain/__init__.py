@@ -34,6 +34,7 @@ from .steady import (
     BetaModeReport,
     CovarianceState,
     DarkModeError,
+    DrainedSystem,
     DrainSpec,
     PairingError,
     SqueezedNoise,

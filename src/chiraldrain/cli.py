@@ -214,12 +214,22 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _write_matrix_csv(path, matrix, labels, fmt="%.9g"):
+def _csv_label(text: str) -> str:
+    """A label as csv.writer quotes it by default, e.g. '"(1,2)"'."""
+    if any(c in text for c in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
+def _write_labelled_csv(path, header, labels, values, fmt="%.9g"):
+    """The bytes csv.writer gives for ``header`` and the rows
+    ``[label, fmt % v, ...]``, formatted with one % operation per row."""
+    line = "%s" + ("," + fmt) * values.shape[1] + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + labels)
-        for label, row in zip(labels, matrix):
-            writer.writerow([label] + [fmt % v for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(
+            line % (_csv_label(label), *row) for label, row in zip(labels, values.tolist())
+        )
 
 
 def cmd_steady(args) -> int:
@@ -235,13 +245,14 @@ def cmd_steady(args) -> int:
     state = steady.steady_state(lattice, spec)
 
     with open(os.path.join(out, "state.json"), "w") as fh:
-        json.dump(steady.state_to_dict(state), fh)
+        steady.write_state_json(state, fh)
 
     r = spec.noise.r
     scale = np.cosh(r) * np.sinh(r) if r > 0 else 1.0
     labels = [_site_label(s) for s in lattice.sites]
-    _write_matrix_csv(
-        os.path.join(out, "heatmap.csv"), np.abs(state.anomalous) / scale, labels
+    _write_labelled_csv(
+        os.path.join(out, "heatmap.csv"), [""] + labels, labels,
+        np.abs(state.anomalous) / scale,
     )
 
     ref_text = cfg.get("reference_site")
@@ -249,13 +260,10 @@ def cmd_steady(args) -> int:
         ref_text = "4,1" if lattice.model.get("name") == "hofstadter" else "0"
         cfg.resolved["reference_site"] = ref_text
     ref = _parse_site(ref_text, lattice)
-    slice_vals = np.abs(state.anomalous[ref, :]) / scale
-    slice_path = os.path.join(out, "slice.csv")
-    with open(slice_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["site", "abs_anomalous_scaled"])
-        for label, value in zip(labels, slice_vals):
-            writer.writerow([label, "%.9g" % value])
+    _write_labelled_csv(
+        os.path.join(out, "slice.csv"), ["site", "abs_anomalous_scaled"], labels,
+        np.abs(state.anomalous[ref, :, None]) / scale,
+    )
 
     mu = steady.purity(state)
     _emit_config(cfg, out, "steady")
@@ -401,19 +409,32 @@ def _realization_seed(base_seed: int, value_index: int, realization: int) -> int
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sweep_point(payload) -> tuple[float, float]:
-    """One sweep realization; module-level so process pools can pickle it."""
-    lattice_data, axis, value, seed, drain_text, gamma, r, phi = payload
+# What every sweep task shares: set once per pool worker by the executor's
+# initializer, and in-process for a serial sweep.
+_sweep_base: dict = {}
+
+
+def _init_sweep(lattice_data, drain, gamma, noise) -> None:
+    """Install the sweep's base lattice and its drained system in this process."""
     lattice = lat.lattice_from_dict(lattice_data)
-    drain = _parse_site(drain_text, lattice)
-    noise = steady.SqueezedNoise(r=r, phi=phi)
+    _sweep_base.update(
+        lattice=lattice, drain=drain, gamma=gamma, noise=noise,
+        system=steady.DrainedSystem(lattice, drain, gamma),
+    )
+
+
+def _sweep_point(task) -> float:
+    """Mirrored-pair entanglement of one sweep realization ``(axis, value, seed)``;
+    module-level so process pools can pickle it."""
+    axis, value, seed = task
+    lattice, drain = _sweep_base["lattice"], _sweep_base["drain"]
     if axis == "disorder":
         lattice = lat.add_disorder(lattice, value, seed, exclude=(drain,))
-        spec = steady.DrainSpec(drain=drain, gamma=gamma, noise=noise)
+        system, loss = steady.DrainedSystem(lattice, drain, _sweep_base["gamma"]), 0.0
     else:
-        spec = steady.DrainSpec(drain=drain, gamma=gamma, noise=noise, site_loss=value)
-    state = steady.steady_state(lattice, spec)
-    return entanglement.mirrored_pair_average(state, lattice), steady.purity(state)
+        system, loss = _sweep_base["system"], value
+    state = system.steady_state(_sweep_base["noise"], site_loss=loss)
+    return entanglement.mirrored_pair_average(state, lattice)
 
 
 def cmd_sweep(args) -> int:
@@ -433,6 +454,8 @@ def cmd_sweep(args) -> int:
     ensemble = int(ensemble)
     if ensemble < 1:
         raise UsageError(f"ensemble must be >= 1, got {ensemble}")
+    # every realization keeps the base lattice's sites, so one check covers them
+    entanglement._square_grid(lattice)
     seed = int(cfg.get("seed"))
     jobs = cfg.values.get("jobs")
     if jobs is None:
@@ -440,52 +463,41 @@ def cmd_sweep(args) -> int:
     jobs = max(1, int(jobs))
     cfg.resolved["jobs"] = jobs
 
-    lattice_data = lat.lattice_to_dict(lattice)
     drain_label = _site_label(lattice.sites[spec.drain])
-    tasks = []
-    for vi, value in enumerate(values):
-        for k in range(ensemble):
-            rseed = _realization_seed(seed, vi, k) if axis == "disorder" else seed
-            tasks.append(
-                (
-                    lattice_data,
-                    axis,
-                    value,
-                    rseed,
-                    str(spec.drain),
-                    spec.gamma,
-                    spec.noise.r,
-                    spec.noise.phi,
-                )
-            )
+    tasks = [
+        (axis, value, _realization_seed(seed, vi, k) if axis == "disorder" else seed)
+        for vi, value in enumerate(values)
+        for k in range(ensemble)
+    ]
+    base = (lat.lattice_to_dict(lattice), spec.drain, spec.gamma, spec.noise)
     results = []
     try:
-        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_sweep, initargs=base
+        ) if jobs > 1 else nullcontext() as pool:
+            if pool is None:
+                _init_sweep(*base)
             # results arrive in task order, so tasks[len(results)] is the one that failed
             for result in (pool.map if pool else map)(_sweep_point, tasks):
                 results.append(result)
     except (steady.DarkModeError, spectral.SolverError) as exc:
-        failed = tasks[len(results)]
+        _, value, rseed = tasks[len(results)]
         raise spectral.SolverError(
-            f"sweep realization failed (realization seed {failed[3]}, value {failed[2]}): {exc}"
+            f"sweep realization failed (realization seed {rseed}, value {value}): {exc}"
         ) from exc
+    finally:
+        _sweep_base.clear()
 
     axis_column = "disorder_variance" if axis == "disorder" else "gamma_loss"
     csv_path = os.path.join(out, "sweep.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([axis_column, "realization_seed", "ebar_n"])
-        row = 0
-        for vi, value in enumerate(values):
-            for k in range(ensemble):
-                ebar = results[row][0]
-                writer.writerow(["%.9g" % value, tasks[row][3], "%.9g" % ebar])
-                row += 1
+        for (_, value, rseed), ebar in zip(tasks, results):
+            writer.writerow(["%.9g" % value, rseed, "%.9g" % ebar])
     summary = []
-    row = 0
-    for value in values:
-        chunk = [results[row + k][0] for k in range(ensemble)]
-        row += ensemble
+    for vi, value in enumerate(values):
+        chunk = results[vi * ensemble:(vi + 1) * ensemble]
         mean = float(np.mean(chunk))
         stderr = float(np.std(chunk, ddof=1) / np.sqrt(len(chunk))) if len(chunk) > 1 else 0.0
         summary.append(

@@ -8,7 +8,10 @@ so the stationary second moments solve a pair of Sylvester equations.  Both
 are solved here by eigendecomposing the drift once and dividing by eigenvalue
 sums in the transformed frame, with iterative refinement to recover the
 accuracy lost on nearly-dark modes, and a Bartels-Stewart fallback when the
-drift eigenbasis is badly conditioned.
+drift eigenbasis is badly conditioned.  Uniform loss only shifts the drift by
+``-(loss/2) I``, which moves its eigenvalues and keeps its eigenvectors, so a
+:class:`DrainedSystem` factorizes the loss-free drift once and reuses that
+factorization for every loss value it is solved at.
 
 The state is stored as the normal matrix ``<adag_m a_n>`` and the anomalous
 matrix ``<a_m a_n>``.  The quadrature convention throughout the package is
@@ -26,6 +29,7 @@ offers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +52,7 @@ __all__ = [
     "Trajectory",
     "DarkModeError",
     "PairingError",
+    "DrainedSystem",
     "steady_state",
     "analytic_chiral_state",
     "extract_sigma",
@@ -59,6 +64,7 @@ __all__ = [
     "symplectic_form",
     "state_to_dict",
     "state_from_dict",
+    "write_state_json",
 ]
 
 VACUUM_VARIANCE = 0.5
@@ -178,20 +184,23 @@ def quadrature_covariance(state: CovarianceState, sites=None) -> np.ndarray:
     )
 
 
-def _drift_matrix(lattice: Lattice, spec: DrainSpec) -> np.ndarray:
+def _drift_matrix(
+    lattice: Lattice, drain: int, gamma: float, site_loss: float = 0.0
+) -> np.ndarray:
     n = lattice.n_sites
     d = -1j * lattice.hamiltonian.astype(complex)
-    d = d - 0.5 * spec.site_loss * np.eye(n)
-    d[spec.drain, spec.drain] -= 0.5 * spec.gamma
+    d -= 0.5 * site_loss * np.eye(n)
+    d[drain, drain] -= 0.5 * gamma
     return d
 
 
-def _diffusion(lattice: Lattice, spec: DrainSpec) -> tuple[np.ndarray, np.ndarray]:
-    n = lattice.n_sites
-    qn = np.zeros((n, n), dtype=complex)
-    qm = np.zeros((n, n), dtype=complex)
-    qn[spec.drain, spec.drain] = spec.gamma * spec.noise.nbar
-    qm[spec.drain, spec.drain] = spec.gamma * spec.noise.anomalous
+def _diffusion(
+    n_sites: int, drain: int, gamma: float, noise: SqueezedNoise
+) -> tuple[np.ndarray, np.ndarray]:
+    qn = np.zeros((n_sites, n_sites), dtype=complex)
+    qm = np.zeros((n_sites, n_sites), dtype=complex)
+    qn[drain, drain] = gamma * noise.nbar
+    qm[drain, drain] = gamma * noise.anomalous
     return qn, qm
 
 
@@ -202,17 +211,20 @@ _REFINE_STEPS = 2
 
 
 class _MomentSolver:
-    """Solves D' X + X D^T = -Q for the two stationarity equations."""
+    """Solves D' X + X D^T = -Q for the two stationarity equations of one drift.
 
-    def __init__(self, drift: np.ndarray):
+    ``eigenvalues`` are those of ``drift``; ``vecs`` and ``vecs_inv`` are its
+    eigenvectors and their inverse, or None when they are too badly
+    conditioned to use, in which case every solve is a Schur-based one.
+    """
+
+    def __init__(self, drift: np.ndarray, eigenvalues: np.ndarray, vecs=None, vecs_inv=None):
         self.drift = drift
-        lam, vecs = np.linalg.eig(drift)
-        self.eigenvalues = lam
-        cond = np.linalg.cond(vecs)
-        self.spectral_ok = bool(np.isfinite(cond) and cond < _EIG_COND_LIMIT)
+        self.eigenvalues = lam = eigenvalues
+        self.spectral_ok = vecs is not None
         if self.spectral_ok:
             self._v = vecs
-            self._vi = np.linalg.inv(vecs)
+            self._vi = vecs_inv
             self._den_m = lam[:, None] + lam[None, :]
             self._den_n = lam.conj()[:, None] + lam[None, :]
             scale = max(np.abs(lam).max(), 1e-300)
@@ -247,57 +259,106 @@ class _MomentSolver:
         return x
 
 
+class DrainedSystem:
+    """A lattice drained at one site with rate ``gamma``, solvable at any loss.
+
+    The loss-free drift ``D0 = -iH - (gamma/2) P_drain`` is eigendecomposed
+    on the first solve, together with the inverse of its eigenvectors and the
+    condition check that picks the spectral or the Schur route.  Each solve
+    at uniform loss ``kappa`` then divides by the shifted eigenvalues of
+    ``D0 - (kappa/2) I`` in the same eigenbasis, so a loss sweep costs one
+    factorization.
+    """
+
+    def __init__(self, lattice: Lattice, drain: int, gamma: float):
+        self.lattice = lattice
+        self.drain = drain
+        self.gamma = gamma
+        self._eig = None
+
+    def _solver(self, site_loss: float) -> _MomentSolver:
+        if self._eig is None:
+            lam, vecs = np.linalg.eig(_drift_matrix(self.lattice, self.drain, self.gamma))
+            cond = np.linalg.cond(vecs)
+            if np.isfinite(cond) and cond < _EIG_COND_LIMIT:
+                self._eig = lam, vecs, np.linalg.inv(vecs)
+            else:
+                self._eig = lam, None, None
+        lam, vecs, vecs_inv = self._eig
+        drift = _drift_matrix(self.lattice, self.drain, self.gamma, site_loss)
+        return _MomentSolver(drift, lam - 0.5 * site_loss, vecs, vecs_inv)
+
+    def steady_state(
+        self,
+        noise: SqueezedNoise,
+        site_loss: float = 0.0,
+        dark_tol: float = 1e-10,
+    ) -> CovarianceState:
+        """Stationary second moments at uniform internal loss ``site_loss``.
+
+        Solves ``D M + M D^T + Gamma*anom*P = 0`` for the anomalous matrix and
+        ``conj(D) N + N D^T + Gamma*nbar*P = 0`` for the normal matrix, where
+        ``P`` projects on the drain site.  Internal loss enters the drift
+        only: its vacuum noise carries no normally-ordered diffusion.
+
+        Without internal loss the drift is singular whenever a mode decouples
+        from the drain, so dark modes are detected first and reported by
+        index.
+        """
+        if self.gamma <= 0:
+            raise ValueError("steady_state needs gamma > 0")
+        if site_loss < 0:
+            raise ValueError("site_loss must be >= 0")
+        if site_loss == 0.0:
+            coupling = drain_couplings(
+                diagonalize(self.lattice), self.drain, self.gamma, dark_tol
+            )
+            if coupling.dark:
+                raise DarkModeError(
+                    coupling.dark,
+                    f"modes {list(coupling.dark)} are dark at drain {self.drain}; "
+                    "the steady state is not unique (add site_loss or move the drain)",
+                )
+        # the checks on the spectrum use the shifted eigenvalues of this
+        # solve: the loss-free drift is exactly singular when a dark pair exists
+        solver = self._solver(site_loss)
+        if site_loss == 0.0:
+            # near-degenerate doublets can hybridize into modes whose relaxation
+            # rate falls far below any individual drain rate; below this floor
+            # the stationary moments are not resolvable in double precision
+            slowest = -2.0 * float(solver.eigenvalues.real.max())
+            if slowest < 1e-10 * self.gamma:
+                raise SolverError(
+                    f"slowest relaxation rate {slowest:.3e} is below 1e-10 * gamma: "
+                    "an effectively dark mode makes the steady state numerically "
+                    "unreachable (add site_loss or move the drain)"
+                )
+        qn, qm = _diffusion(self.lattice.n_sites, self.drain, self.gamma, noise)
+        m = solver.refined(qm, "anomalous")
+        n = solver.refined(qn, "normal")
+        m = 0.5 * (m + m.T)
+        n = 0.5 * (n + n.conj().T)
+        d = solver.drift
+        res_m = float(np.abs(d @ m + m @ d.T + qm).max())
+        res_n = float(np.abs(d.conj() @ n + n @ d.T + qn).max())
+        residual = max(res_m, res_n)
+        if residual > 1e-9 * self.gamma:
+            raise SolverError(
+                f"stationarity residual {residual:.3e} exceeds 1e-9 * gamma"
+            )
+        return CovarianceState(normal=n, anomalous=m, residual=residual)
+
+
 def steady_state(
     lattice: Lattice,
     spec: DrainSpec,
     dark_tol: float = 1e-10,
 ) -> CovarianceState:
-    """Stationary second moments of the drained lattice.
-
-    Solves ``D M + M D^T + Gamma*anom*P = 0`` for the anomalous matrix and
-    ``conj(D) N + N D^T + Gamma*nbar*P = 0`` for the normal matrix, where
-    ``P`` projects on the drain site.  Internal loss enters the drift only:
-    its vacuum noise carries no normally-ordered diffusion.
-
-    Without internal loss the drift is singular whenever a mode decouples
-    from the drain, so dark modes are detected first and reported by index.
-    """
-    if spec.gamma <= 0:
-        raise ValueError("steady_state needs gamma > 0")
-    if spec.site_loss == 0.0:
-        coupling = drain_couplings(diagonalize(lattice), spec.drain, spec.gamma, dark_tol)
-        if coupling.dark:
-            raise DarkModeError(
-                coupling.dark,
-                f"modes {list(coupling.dark)} are dark at drain {spec.drain}; "
-                "the steady state is not unique (add site_loss or move the drain)",
-            )
-    qn, qm = _diffusion(lattice, spec)
-    solver = _MomentSolver(_drift_matrix(lattice, spec))
-    if spec.site_loss == 0.0:
-        # near-degenerate doublets can hybridize into modes whose relaxation
-        # rate falls far below any individual drain rate; below this floor
-        # the stationary moments are not resolvable in double precision
-        slowest = -2.0 * float(solver.eigenvalues.real.max())
-        if slowest < 1e-10 * spec.gamma:
-            raise SolverError(
-                f"slowest relaxation rate {slowest:.3e} is below 1e-10 * gamma: "
-                "an effectively dark mode makes the steady state numerically "
-                "unreachable (add site_loss or move the drain)"
-            )
-    m = solver.refined(qm, "anomalous")
-    n = solver.refined(qn, "normal")
-    m = 0.5 * (m + m.T)
-    n = 0.5 * (n + n.conj().T)
-    d = solver.drift
-    res_m = float(np.abs(d @ m + m @ d.T + qm).max())
-    res_n = float(np.abs(d.conj() @ n + n @ d.T + qn).max())
-    residual = max(res_m, res_n)
-    if residual > 1e-9 * spec.gamma:
-        raise SolverError(
-            f"stationarity residual {residual:.3e} exceeds 1e-9 * gamma"
-        )
-    return CovarianceState(normal=n, anomalous=m, residual=residual)
+    """Stationary second moments of the drained lattice: one solve of a fresh
+    :class:`DrainedSystem` (see :meth:`DrainedSystem.steady_state`)."""
+    return DrainedSystem(lattice, spec.drain, spec.gamma).steady_state(
+        spec.noise, spec.site_loss, dark_tol
+    )
 
 
 def _require_valid_pairing(pairing: ChiralPairing, coupling: DrainCoupling, tol: float):
@@ -466,13 +527,13 @@ def evolve(
     """
     if t_final < 0 or dt <= 0:
         raise ValueError("need t_final >= 0 and dt > 0")
-    d = _drift_matrix(lattice, spec)
+    d = _drift_matrix(lattice, spec.drain, spec.gamma, spec.site_loss)
     dnorm = float(np.linalg.norm(d, 2))
     if dt * dnorm >= 0.1:
         raise ValueError(
             f"dt too coarse: dt * ||D|| = {dt * dnorm:.3f} must stay below 0.1"
         )
-    qn, qm = _diffusion(lattice, spec)
+    qn, qm = _diffusion(lattice.n_sites, spec.drain, spec.gamma, spec.noise)
     dc = d.conj()
     dt_arr = d.T
 
@@ -521,18 +582,32 @@ def evolve(
     return Trajectory(times=np.asarray(times), states=tuple(states))
 
 
+def _pair_rows(mat: np.ndarray):
+    """Each row of a complex matrix as a list of [re, im] pairs of floats."""
+    pairs = np.ascontiguousarray(mat, dtype=complex).view(float)
+    return (row.reshape(-1, 2).tolist() for row in pairs)
+
+
 def state_to_dict(state: CovarianceState) -> dict:
     """JSON-ready form with complex entries encoded as [re, im] pairs."""
-
-    def encode(mat):
-        return [[[v.real, v.imag] for v in row] for row in mat]
-
     return {
         "n_modes": state.n_modes,
-        "normal": encode(state.normal),
-        "anomalous": encode(state.anomalous),
+        "normal": list(_pair_rows(state.normal)),
+        "anomalous": list(_pair_rows(state.anomalous)),
         "residual": state.residual,
     }
+
+
+def write_state_json(state: CovarianceState, fh) -> None:
+    """Write ``json.dumps(state_to_dict(state))`` to a text file, encoding one
+    matrix row at a time instead of building the nested lists first."""
+    fh.write('{"n_modes": %s' % json.dumps(state.n_modes))
+    for key, mat in (("normal", state.normal), ("anomalous", state.anomalous)):
+        fh.write(', "%s": [' % key)
+        for i, row in enumerate(_pair_rows(mat)):
+            fh.write(", " + json.dumps(row) if i else json.dumps(row))
+        fh.write("]")
+    fh.write(', "residual": %s}' % json.dumps(state.residual))
 
 
 def state_from_dict(data: dict) -> CovarianceState:

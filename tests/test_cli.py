@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 from chiraldrain import cli
 from chiraldrain import lattice as lat
+from chiraldrain import steady
 
 
 def run(*args):
@@ -104,6 +106,43 @@ class TestSteady:
         rows = list(csv.reader(open(tmp_path / "slice.csv")))
         assert rows[0] == ["site", "abs_anomalous_scaled"]
         assert len(rows) == 82
+
+
+class TestSteadyOutputs:
+    """state.json, heatmap.csv and slice.csv against the library's encoders."""
+
+    def test_files_match_reference_encoders(self, tmp_path, monkeypatch):
+        solved = []
+        solve = steady.steady_state
+
+        def keep(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(steady, "steady_state", keep)
+        code = run(
+            "steady", "--half-size", "2", "--drain", "2,2", "--squeeze", "0.8",
+            "--loss", "0.01", "--reference-site", "1,-1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        (state,) = solved
+        text = (tmp_path / "state.json").read_text()
+        assert text == json.dumps(steady.state_to_dict(state))
+
+        lattice = lat.build_hofstadter(2, 1.0, np.pi / 2)
+        labels = [f"({s.coord[0]},{s.coord[1]})" for s in lattice.sites]
+        scaled = np.abs(state.anomalous) / (np.cosh(0.8) * np.sinh(0.8))
+        heatmap, slice_ = io.StringIO(newline=""), io.StringIO(newline="")
+        writer = csv.writer(heatmap)
+        writer.writerow([""] + labels)
+        for label, row in zip(labels, scaled):
+            writer.writerow([label] + ["%.9g" % v for v in row])
+        writer = csv.writer(slice_)
+        writer.writerow(["site", "abs_anomalous_scaled"])
+        for label, value in zip(labels, scaled[lattice.site_index((1, -1))]):
+            writer.writerow([label, "%.9g" % value])
+        assert (tmp_path / "heatmap.csv").read_bytes() == heatmap.getvalue().encode()
+        assert (tmp_path / "slice.csv").read_bytes() == slice_.getvalue().encode()
 
 
 class TestSpectrum:
@@ -239,7 +278,7 @@ class TestSweep:
     @pytest.mark.parametrize(
         "model, failing_value",
         [
-            (("--model", "chain", "--sites", "3", "--drain", "1", "--values", "0"), 0),
+            (("--half-size", "1", "--drain", "1,1", "--values", "0"), 0),
             # both realizations at 1e-2 solve; the first one at 0 must be named
             (("--half-size", "1", "--drain", "1,1", "--values", "1e-2,0"), 1),
         ],
@@ -259,6 +298,57 @@ class TestSweep:
         assert errors[0] == errors[1]
         seed = cli._realization_seed(0, failing_value, 0)
         assert f"(realization seed {seed}, value 0.0)" in errors[0] and "dark" in errors[0]
+
+    def count_calls(self, monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_loss_sweep_factorizes_once(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, np.linalg, "eig")
+        args = list(self.sweep_args(str(tmp_path)))
+        args[args.index("--values") + 1] = "1e-3,1e-2,1e-1,0.5"
+        args[args.index("--ensemble") + 1] = "1"
+        assert run(*args, "--jobs", "1") == 0
+        assert len(calls) == 1
+
+    def test_disorder_sweep_factorizes_each_realization(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, np.linalg, "eig")
+        code = run(
+            "sweep", "--half-size", "1", "--drain", "1,1", "--axis", "disorder",
+            "--values", "1e-4,1e-3", "--ensemble", "2", "--jobs", "1", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert len(calls) == 4
+
+    def test_loss_sweep_checks_each_shifted_solve(self, tmp_path, capsys):
+        # drain (1,1) of the 3x3 lattice leaves a dark mode: the loss-free drift
+        # is singular, the solve at 0.05 is not, and the lossless one is refused
+        code = run(
+            "sweep", "--half-size", "1", "--drain", "1,1", "--axis", "loss",
+            "--values", "0.05,0", "--out", str(tmp_path),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "value 0.0)" in err and "dark" in err
+
+    def test_grid_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, steady.DrainedSystem, "steady_state")
+        code = run(
+            "sweep", "--model", "chain", "--sites", "3", "--drain", "1",
+            "--axis", "disorder", "--values", "1e-2,0", "--ensemble", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "mirrored-pair average needs 2D coordinates" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_ensemble_below_one_rejected(self, tmp_path):
         code = run(

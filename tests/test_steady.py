@@ -2,6 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,17 +186,95 @@ class TestSteadyState:
 
     def test_spectral_and_schur_paths_agree(self):
         lattice = lat.build_chain(5, [0.7, 1.2, 0.4, 1.5])
-        spec = steady.DrainSpec(0, 1.0, steady.SqueezedNoise(0.8))
-        qn, qm = steady._diffusion(lattice, spec)
-        solver = steady._MomentSolver(steady._drift_matrix(lattice, spec))
-        assert solver.spectral_ok
-        m_fast = solver.refined(qm, "anomalous")
-        n_fast = solver.refined(qn, "normal")
-        solver.spectral_ok = False
-        m_slow = solver.refined(qm, "anomalous")
-        n_slow = solver.refined(qn, "normal")
-        assert np.abs(m_fast - m_slow).max() < 1e-10
-        assert np.abs(n_fast - n_slow).max() < 1e-10
+        system = steady.DrainedSystem(lattice, 0, 1.0)
+        qn, qm = steady._diffusion(5, 0, 1.0, steady.SqueezedNoise(0.8))
+        for loss in (0.0, 0.05):
+            solver = system._solver(loss)
+            assert solver.spectral_ok
+            m_fast = solver.refined(qm, "anomalous")
+            n_fast = solver.refined(qn, "normal")
+            solver.spectral_ok = False
+            m_slow = solver.refined(qm, "anomalous")
+            n_slow = solver.refined(qn, "normal")
+            assert np.abs(m_fast - m_slow).max() < 1e-10
+            assert np.abs(n_fast - n_slow).max() < 1e-10
+
+
+def sylvester_reference(lattice, drain, gamma, noise, loss):
+    """Bartels-Stewart moments of the drift at this loss, built from scratch."""
+    n = lattice.n_sites
+    d = -1j * lattice.hamiltonian - 0.5 * loss * np.eye(n)
+    d[drain, drain] -= 0.5 * gamma
+    q = np.zeros((n, n), dtype=complex)
+    q[drain, drain] = gamma
+    m = scipy.linalg.solve_sylvester(d, d.T, -noise.anomalous * q)
+    nrm = scipy.linalg.solve_sylvester(d.conj(), d.T, -noise.nbar * q)
+    return nrm, m
+
+
+def relative_gap(state, normal, anomalous):
+    return max(
+        np.abs(state.normal - normal).max() / np.abs(normal).max(),
+        np.abs(state.anomalous - anomalous).max() / np.abs(anomalous).max(),
+    )
+
+
+class TestDrainedSystem:
+    @pytest.mark.parametrize(
+        "lattice, drain, losses",
+        [
+            # drained at (2, 2), site 60
+            (lat.build_hofstadter(4, 1.0, np.pi / 2), 60, (1e-4, 1e-3, 1e-2, 1e-1)),
+            # a dark mode: the loss-free drift is exactly singular
+            (lat.build_chain(3), 1, (0.05,)),
+        ],
+        ids=["hofstadter-9x9", "dark-chain"],
+    )
+    def test_one_factorization_matches_sylvester_at_every_loss(
+        self, monkeypatch, lattice, drain, losses
+    ):
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(1)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        gamma, noise = 3.0, steady.SqueezedNoise(1.0, 0.3)
+        system = steady.DrainedSystem(lattice, drain, gamma)
+        for loss in losses:
+            state = system.steady_state(noise, site_loss=loss)
+            normal, anomalous = sylvester_reference(lattice, drain, gamma, noise, loss)
+            # the slowest relaxation rate is about the loss, so the forward error
+            # of any backward-stable solve grows like eps / loss: both routes
+            # differ by 5.3e-12 at loss 1e-4, with a fresh eig per loss too
+            assert relative_gap(state, normal, anomalous) <= max(1e-12, 1e-15 / loss)
+        assert len(calls) == 1
+
+    def test_reused_system_matches_fresh_one(self):
+        # the factorization is the only state a system carries between solves
+        lattice = lat.build_hofstadter(2, 1.0, np.pi / 2)
+        noise = steady.SqueezedNoise(0.7)
+        system = steady.DrainedSystem(lattice, 24, 2.0)
+        for loss in (0.3, 0.0, 1e-3):
+            state = system.steady_state(noise, site_loss=loss)
+            fresh = steady.steady_state(lattice, steady.DrainSpec(24, 2.0, noise, loss))
+            assert np.array_equal(state.normal, fresh.normal)
+            assert np.array_equal(state.anomalous, fresh.anomalous)
+
+    def test_lossless_checks_run_on_each_solve(self):
+        system = steady.DrainedSystem(lat.build_chain(3), 1, 1.0)
+        noise = steady.SqueezedNoise(1.0)
+        assert system.steady_state(noise, site_loss=0.05).residual < 1e-9
+        with pytest.raises(steady.DarkModeError):
+            system.steady_state(noise)
+        assert system.steady_state(noise, site_loss=0.1).residual < 1e-9
+
+    def test_negative_loss_rejected(self):
+        system = steady.DrainedSystem(lat.build_chain(2), 0, 1.0)
+        with pytest.raises(ValueError, match="site_loss"):
+            system.steady_state(steady.SqueezedNoise(1.0), -0.1)
 
 
 class TestExtractSigma:
@@ -376,3 +455,17 @@ class TestSerialization:
         back = steady.state_from_dict(data)
         assert np.array_equal(back.normal, state.normal)
         assert np.array_equal(back.anomalous, state.anomalous)
+
+    def test_streamed_json_matches_dict_route(self):
+        import io
+        import json
+
+        state = solve(lat.build_hofstadter(1, 1.0, np.pi / 2), 4, 1.0, 0.7, 0.2, loss=0.1)
+        fh = io.StringIO()
+        steady.write_state_json(state, fh)
+        assert fh.getvalue() == json.dumps(steady.state_to_dict(state))
+        data = steady.state_to_dict(state)
+        # the old per-entry encoding, kept as the reference
+        for key in ("normal", "anomalous"):
+            matrix = getattr(state, key)
+            assert data[key] == [[[v.real, v.imag] for v in row] for row in matrix]
