@@ -9,6 +9,15 @@ of that matrix are checked against the scalar consistency condition
     sum_j (Gbar_j / 2) / (gamma/2 + i*(nu - eps_j)) = 1,
 
 which every bright eigenvalue must satisfy.
+
+One drain site makes the dynamical matrix diagonal plus rank one,
+``diag(eps) - (i/2) s s^dag``, so no dense factorization is needed: the
+bright eigenvalues are the roots of the consistency condition itself (its
+secular equation), found together by Aberth-Ehrlich iteration with each
+root stored as its offset ``delta_k = lambda_k - eps_k`` from its own pole,
+and the right eigenvectors have the closed form ``s_j / (eps_j - lambda_k)``.
+Anchoring keeps full relative precision for nearly-dark modes, whose roots
+sit closer to their poles than ``lambda_k`` can resolve in floating point.
 """
 
 from __future__ import annotations
@@ -39,6 +48,10 @@ __all__ = [
 DEGENERACY_RTOL = 1e-9
 # A mode is dark when its drain rate falls below dark_tol * Gamma / N.
 DARK_TOL = 1e-10
+# A secular root is converged once an Aberth step moves it by at most
+# SECULAR_RTOL times its distance to its pole; SolverError past the sweep cap.
+SECULAR_RTOL = 1e-10
+SECULAR_MAX_SWEEPS = 100
 
 
 class SolverError(RuntimeError):
@@ -304,11 +317,14 @@ def dynamical_matrix(coupling: DrainCoupling) -> np.ndarray:
 class DynamicalSpectrum:
     """Eigenvalues ``lambda = nu - i*gamma/2`` of the dynamical matrix.
 
+    Bright eigenvalues come first, ordered by real part, then the dark ones.
     Dark eigenvalues are the bare energies, exactly; every bright
     eigenvalue carries its consistency-condition residual (``nan`` for dark
-    entries, where the condition does not apply).  ``modes[:, k]`` is the
-    right eigenvector and ``noise_weights[k]`` its coupling to the drain
-    noise, ``g = sum_j u_j exp(-i phi_j) sqrt(Gbar_j)``.
+    entries, where the condition does not apply), evaluated at the root's
+    offset from its pole rather than at the rounded ``lambda``.
+    ``modes[:, k]`` is the right eigenvector, of unit 2-norm with its
+    largest-modulus component real positive, and ``noise_weights[k]`` its
+    coupling to the drain noise, ``g = sum_j u_j exp(-i phi_j) sqrt(Gbar_j)``.
     """
 
     eigenvalues: np.ndarray
@@ -335,46 +351,79 @@ class DynamicalSpectrum:
         return float(self.decay_rates[bright].min())
 
 
-def _polish_eigenvalue(lam: complex, half_rates: np.ndarray, energies: np.ndarray,
-                       steps: int = 3) -> complex:
-    """Newton-polish one bright eigenvalue on the secular equation.
+def _anchored_gaps(energies: np.ndarray, delta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``lambda_k - eps_j`` as ``(eps_k - eps_j) + delta_k`` for the roots in ``rows``.
 
-    The consistency condition is exactly the characteristic equation of the
-    bright block written through its resolvent, so its roots are the true
-    eigenvalues; dense diagonalization only locates nearly-dark roots to
-    absolute accuracy ~eps*|A|, which polishing removes.
+    For ``j = k`` this is ``delta_k`` itself, not ``(eps_k + delta_k) - eps_k``,
+    so a root within ``|delta_k| << |eps_k|`` of its pole keeps full relative
+    precision in its distance to that pole.
     """
-    scale = max(float(np.abs(energies).max()), 1.0)
-    for _ in range(steps):
-        diff = lam - energies
-        if np.abs(diff).min() == 0.0:
-            break
-        f = -1j * np.sum(half_rates / diff) - 1.0
-        fp = 1j * np.sum(half_rates / diff**2)
-        if fp == 0.0:
-            break
-        step = f / fp
-        if not np.isfinite(step) or abs(step) > 1e-3 * scale:
-            break
-        new = lam - step
-        diff_new = new - energies
-        if np.abs(diff_new).min() == 0.0:
-            break
-        f_new = -1j * np.sum(half_rates / diff_new) - 1.0
-        if abs(f_new) >= abs(f):
-            break
-        lam = new
-    return lam
+    return (energies[rows, None] - energies[None, :]) + delta[rows, None]
+
+
+def _secular_roots(energies: np.ndarray, half_rates: np.ndarray) -> np.ndarray:
+    """Offsets ``delta_k = lambda_k - eps_k`` of the roots of the secular equation.
+
+    ``h(lambda) = 1 + i sum_j a_j / (lambda - eps_j)`` with ``a_j = Gbar_j / 2``
+    has one root per pole ``eps_k``; all of them are refined together by
+    Aberth-Ehrlich sweeps.  Root ``k`` starts at the root of its one-pole
+    model ``1 + i a_k / delta + i r_k`` with the other poles frozen at
+    ``r_k = sum_{j != k} a_j / (eps_k - eps_j)``: ``delta_k = -i a_k`` at weak
+    coupling, between the poles at strong coupling.  The start is tilted by
+    ``1e-3`` of its size along the real axis, because the sweeps commute with
+    the chiral map ``lambda -> -conj(lambda)``, and a mirror-symmetric pair of
+    starts could never separate onto two roots on the imaginary axis.  The correction
+    ``h / (h (sum_j 1/(lambda_k - eps_j) - sum_{m != k} 1/(lambda_k - lambda_m)) + h')``
+    is Newton's step on ``det(lambda - A)`` with the other roots deflated, and
+    carries no division by ``h``, so it is zero at an exact root.  A root
+    leaves the sweeps once a step moved it by at most ``SECULAR_RTOL |delta_k|``.
+    """
+    nb = energies.size
+    pole_inv = energies[:, None] - energies[None, :]
+    np.fill_diagonal(pole_inv, np.inf)
+    np.reciprocal(pole_inv, out=pole_inv)
+    delta = (1e-3 - 1j) * half_rates / (1.0 + 1j * (pole_inv @ half_rates))
+    del pole_inv
+    active = np.arange(nb)
+    for _ in range(SECULAR_MAX_SWEEPS):
+        gaps = _anchored_gaps(energies, delta, active)
+        inv = 1.0 / gaps
+        h = 1.0 + 1j * (inv @ half_rates)
+        # lambda_k - lambda_m = (lambda_k - eps_m) - delta_m; the own root
+        # (m = k) is excluded by an infinite gap
+        gaps -= delta
+        gaps[np.arange(active.size), active] = np.inf
+        repulsion = inv.sum(axis=1) - np.reciprocal(gaps, out=gaps).sum(axis=1)
+        dh = -1j * (np.square(inv, out=inv) @ half_rates)
+        corr = h / (h * repulsion + dh)
+        delta[active] -= corr
+        # written so that a NaN step keeps its root active
+        active = active[~(np.abs(corr) <= SECULAR_RTOL * np.abs(delta[active]))]
+        if not active.size:
+            return delta
+    raise SolverError(
+        f"secular equation: {active.size} of {nb} roots did not converge "
+        f"in {SECULAR_MAX_SWEEPS} Aberth sweeps"
+    )
 
 
 def dynamical_spectrum(a_matrix: np.ndarray, coupling: DrainCoupling) -> DynamicalSpectrum:
     """Diagonalize the dynamical matrix, keeping dark eigenvalues exact.
 
     The dark block is diagonal by construction, so it is deflated and its
-    eigenvalues reported as the bare mode energies; the bright block is
-    diagonalized densely, each eigenvalue is Newton-polished on the
-    consistency condition (its exact secular equation), and the remaining
-    residual is reported per eigenvalue.
+    eigenvalues reported as the bare mode energies.  The bright block is
+    ``diag(eps) - (i/2) s s^dag``, diagonal plus rank one: its eigenvalues are
+    the roots of the consistency condition (its secular equation), found by
+    ``_secular_roots`` as offsets from their own poles, and its right
+    eigenvectors have the closed form ``u_k,j ~ s_j / (eps_j - lambda_k)``,
+    normalized to unit 2-norm with the largest-modulus component real
+    positive (the LAPACK convention).  Eigenvectors and consistency
+    residuals are evaluated at the anchored roots, so a root next to a
+    nearly-dark pole is not rounded to ``eps_k + delta_k`` first.
+
+    ``a_matrix`` is the dense form of the same operator,
+    ``dynamical_matrix(coupling)``; the structure is read from ``coupling``
+    and ``a_matrix`` is kept so existing callers need no change.
     """
     n = coupling.n_modes
     bright = coupling.bright
@@ -390,26 +439,25 @@ def dynamical_spectrum(a_matrix: np.ndarray, coupling: DrainCoupling) -> Dynamic
         modes[i, n - dark_idx.size + pos] = 1.0
         is_dark[n - dark_idx.size + pos] = True
 
+    s = np.exp(-1j * coupling.phases) * np.sqrt(coupling.rates)
     nb = int(bright.sum())
     if nb:
-        sub = a_matrix[np.ix_(bright, bright)]
-        try:
-            vals, vecs = np.linalg.eig(sub)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"dynamical matrix diagonalization failed: {exc}") from exc
-        order = np.argsort(vals.real, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
         half_rates = 0.5 * coupling.rates[bright]
         bright_energies = energies[bright]
-        for k in range(nb):
-            vals[k] = _polish_eigenvalue(vals[k], half_rates, bright_energies)
-            nu, g_half = vals[k].real, -vals[k].imag
-            terms = half_rates / (g_half + 1j * (nu - bright_energies))
-            residuals[k] = abs(terms.sum() - 1.0)
-        eigenvalues[:nb] = vals
-        modes[np.ix_(bright, range(nb))] = vecs
+        delta = _secular_roots(bright_energies, half_rates)
+        vals = bright_energies + delta
+        order = np.argsort(vals.real, kind="stable")
+        inv = np.reciprocal(_anchored_gaps(bright_energies, delta, order))
+        # |sum_j a_j / (i (lambda_k - eps_j)) - 1|, the consistency condition
+        residuals[:nb] = np.abs(-1j * (inv @ half_rates) - 1.0)
+        # row k becomes u_k,j ~ s_j / (eps_j - lambda_k), then is normalized
+        vecs = np.multiply(inv, s[bright], out=inv)
+        peak = (np.arange(nb), np.argmax(np.abs(vecs), axis=1))
+        vecs *= (vecs[peak].conj() / np.abs(vecs[peak]) / np.linalg.norm(vecs, axis=1))[:, None]
+        vecs[peak] = vecs[peak].real
+        eigenvalues[:nb] = vals[order]
+        modes[np.ix_(bright, range(nb))] = vecs.T
 
-    s = np.exp(-1j * coupling.phases) * np.sqrt(coupling.rates)
     noise_weights = modes.T @ s
     return DynamicalSpectrum(
         eigenvalues=eigenvalues,

@@ -8,11 +8,23 @@ import pytest
 
 from chiraldrain import cli
 from chiraldrain import lattice as lat
-from chiraldrain import steady
+from chiraldrain import spectral, steady
 
 
 def run(*args):
     return cli.main(list(args))
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestBuild:
@@ -107,6 +119,13 @@ class TestSteady:
         assert rows[0] == ["site", "abs_anomalous_scaled"]
         assert len(rows) == 82
 
+    def test_one_dense_factorization(self, tmp_path, monkeypatch):
+        # the spectrum is solved from its secular equation; only the drift is
+        # factorized densely
+        calls = count_calls(monkeypatch, np.linalg, "eig")
+        assert run("steady", "--half-size", "4", "--loss", "1e-3", "--out", str(tmp_path)) == 0
+        assert len(calls) == 1
+
 
 class TestSteadyOutputs:
     """state.json, heatmap.csv and slice.csv against the library's encoders."""
@@ -157,6 +176,12 @@ class TestSpectrum:
         assert len(report["energies"]) == 3
         rows = list(csv.reader(open(tmp_path / "spectrum.csv")))
         assert len(rows) == 4
+
+    def test_unconverged_roots_exit_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(spectral, "SECULAR_MAX_SWEEPS", 1)
+        code = run("spectrum", "--half-size", "4", "--drain", "2,2", "--out", str(tmp_path))
+        assert code == 3
+        assert "of 81 roots did not converge" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -218,6 +243,15 @@ class TestCheck:
         assert code == 0
         state = json.load(open(tmp_path / "run" / "state.json"))
         assert state["n_modes"] == 5
+
+    def test_consistency_on_17x17_flux_lattice(self, tmp_path, capsys):
+        # the slowest bright root lies ~1e-10 from its pole, so evaluating the
+        # residual at the rounded eigenvalue would read ~1e-6
+        code = run("check", "--half-size", "8", "--drain", "2,2", "--out", str(tmp_path))
+        assert code == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        report = json.load(open(tmp_path / "certification.json"))
+        assert report["max_consistency_residual"] < 1e-8
 
     def test_missing_lattice_file_exits_2(self, tmp_path):
         code = run(
@@ -299,19 +333,8 @@ class TestSweep:
         seed = cli._realization_seed(0, failing_value, 0)
         assert f"(realization seed {seed}, value 0.0)" in errors[0] and "dark" in errors[0]
 
-    def count_calls(self, monkeypatch, owner, name):
-        calls = []
-        original = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-        return calls
-
     def test_loss_sweep_factorizes_once(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, np.linalg, "eig")
+        calls = count_calls(monkeypatch, np.linalg, "eig")
         args = list(self.sweep_args(str(tmp_path)))
         args[args.index("--values") + 1] = "1e-3,1e-2,1e-1,0.5"
         args[args.index("--ensemble") + 1] = "1"
@@ -319,7 +342,7 @@ class TestSweep:
         assert len(calls) == 1
 
     def test_disorder_sweep_factorizes_each_realization(self, tmp_path, monkeypatch):
-        calls = self.count_calls(monkeypatch, np.linalg, "eig")
+        calls = count_calls(monkeypatch, np.linalg, "eig")
         code = run(
             "sweep", "--half-size", "1", "--drain", "1,1", "--axis", "disorder",
             "--values", "1e-4,1e-3", "--ensemble", "2", "--jobs", "1", "--out", str(tmp_path),
@@ -339,7 +362,7 @@ class TestSweep:
         assert "value 0.0)" in err and "dark" in err
 
     def test_grid_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
-        calls = self.count_calls(monkeypatch, steady.DrainedSystem, "steady_state")
+        calls = count_calls(monkeypatch, steady.DrainedSystem, "steady_state")
         code = run(
             "sweep", "--model", "chain", "--sites", "3", "--drain", "1",
             "--axis", "disorder", "--values", "1e-2,0", "--ensemble", "2",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from chiraldrain import lattice as lat
 from chiraldrain import spectral as sp
@@ -217,6 +218,128 @@ class TestDynamicalSpectrum:
         spec = sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
         text = json.dumps(sp.spectrum_report(cpl, spec))
         assert "dark_modes" in text
+
+    def test_no_dense_eig(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(1)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
+        cpl = coupled(hof, hof.site_index((2, 2)), 3.0)
+        sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+        assert calls == []
+
+    def test_residual_flags_wrong_root(self, monkeypatch):
+        hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
+        cpl = coupled(hof, hof.site_index((2, 2)), 3.0)
+        a = sp.dynamical_matrix(cpl)
+        assert np.nanmax(sp.dynamical_spectrum(a, cpl).residuals) < 1e-12
+        roots = sp._secular_roots
+        monkeypatch.setattr(
+            sp, "_secular_roots", lambda eps, half: roots(eps, half) * (1 + 1e-6)
+        )
+        # one part in a million off every root is far above check's 1e-8 gate
+        assert np.nanmin(sp.dynamical_spectrum(a, cpl).residuals) > 1e-8
+
+    def test_unconverged_roots_raise(self, monkeypatch):
+        monkeypatch.setattr(sp, "SECULAR_MAX_SWEEPS", 1)
+        hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
+        cpl = coupled(hof, hof.site_index((2, 2)), 3.0)
+        with pytest.raises(sp.SolverError, match=r"\d+ of 81 roots did not converge"):
+            sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+
+
+def polish_eigenvalue(lam, half_rates, energies, steps=3):
+    """Newton-polish one dense eigenvalue on the secular equation, rejecting
+    any step that does not reduce |h|."""
+    scale = max(float(np.abs(energies).max()), 1.0)
+    for _ in range(steps):
+        diff = lam - energies
+        if np.abs(diff).min() == 0.0:
+            break
+        f = -1j * np.sum(half_rates / diff) - 1.0
+        fp = 1j * np.sum(half_rates / diff**2)
+        if fp == 0.0:
+            break
+        step = f / fp
+        if not np.isfinite(step) or abs(step) > 1e-3 * scale:
+            break
+        new = lam - step
+        diff_new = new - energies
+        if np.abs(diff_new).min() == 0.0:
+            break
+        if abs(-1j * np.sum(half_rates / diff_new) - 1.0) >= abs(f):
+            break
+        lam = new
+    return lam
+
+
+def assert_matches_dense_eig(coupling):
+    """dynamical_spectrum against a dense eig of the bright block, polished."""
+    a = sp.dynamical_matrix(coupling)
+    spec = sp.dynamical_spectrum(a, coupling)
+    bright = coupling.bright
+    nb = int(bright.sum())
+    sub = a[np.ix_(bright, bright)]
+    norm = np.linalg.norm(sub, 2)
+    vals, vecs = np.linalg.eig(sub)
+    half_rates, energies = 0.5 * coupling.rates[bright], coupling.eig.energies[bright]
+    vals = np.array([polish_eigenvalue(v, half_rates, energies) for v in vals])
+
+    lam, u = spec.eigenvalues[:nb], spec.modes[bright][:, :nb]
+    assert not spec.is_dark[:nb].any()
+    assert np.all(np.diff(lam.real) >= 0)
+    _, match = linear_sum_assignment(np.abs(lam[:, None] - vals[None, :]))
+    assert np.abs(lam - vals[match]).max() <= 1e-12 * max(1.0, norm)
+    assert np.linalg.norm(sub @ u - u * lam, axis=0).max() <= 1e-12 * norm
+    overlap = np.abs(np.einsum("jk,jk->k", vecs[:, match].conj(), u))
+    assert overlap.min() >= 1 - 1e-10
+    # LAPACK's convention: unit 2-norm, largest-modulus component real positive
+    assert np.allclose(np.linalg.norm(u, axis=0), 1.0, rtol=0, atol=1e-14)
+    # (up to rounding among components of equal modulus)
+    real_peak = np.where(u.imag == 0, u.real, 0.0).max(axis=0)
+    assert np.all(real_peak >= (1 - 1e-12) * np.abs(u).max(axis=0))
+    assert np.array_equal(spec.eigenvalues[nb:], coupling.eig.energies[list(coupling.dark)])
+
+
+ORACLE_GAMMAS = (0.01, 1.7, 100.0)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
+    @pytest.mark.parametrize("case", chiral_fixtures(), ids=[c[0] for c in chiral_fixtures()])
+    def test_corpus(self, case, gamma):
+        name, lattice, drain = case
+        assert_matches_dense_eig(coupled(lattice, drain, gamma))
+
+    @pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
+    def test_dark_mode_drains(self, gamma):
+        assert_matches_dense_eig(coupled(lat.build_chain(3), 1, gamma))
+        hof = lat.build_hofstadter(12, 1.0, np.pi / 2)
+        cpl = coupled(hof, hof.site_index((0, 0)), gamma)
+        assert cpl.dark
+        assert_matches_dense_eig(cpl)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        bipartite=st.booleans(),
+        drain=st.integers(min_value=0, max_value=11),
+        gamma=st.sampled_from(ORACLE_GAMMAS),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_random_lattices(self, n, bipartite, drain, gamma, seed):
+        rng = np.random.default_rng(seed)
+        if bipartite:
+            labels = np.arange(n) % 2
+            lattice = lat.build_bipartite_random(rng.permutation(labels), seed=seed)
+        else:
+            lattice = lat.build_chain(n, rng.uniform(0.2, 2.0, n - 1), rng.uniform(-1, 1, n))
+        assert_matches_dense_eig(coupled(lattice, drain % n, gamma))
 
 
 @settings(max_examples=25, deadline=None)
