@@ -372,10 +372,12 @@ def _secular_roots(energies: np.ndarray, half_rates: np.ndarray) -> np.ndarray:
     coupling, between the poles at strong coupling.  The start is tilted by
     ``1e-3`` of its size along the real axis, because the sweeps commute with
     the chiral map ``lambda -> -conj(lambda)``, and a mirror-symmetric pair of
-    starts could never separate onto two roots on the imaginary axis.  The correction
+    starts could never separate onto two roots on the imaginary axis.
+
+    The correction
     ``h / (h (sum_j 1/(lambda_k - eps_j) - sum_{m != k} 1/(lambda_k - lambda_m)) + h')``
-    is Newton's step on ``det(lambda - A)`` with the other roots deflated, and
-    carries no division by ``h``, so it is zero at an exact root.  A root
+    is Newton's step on ``det(lambda - A) / prod_{m != k} (lambda - lambda_m)``,
+    and carries no division by ``h``, so it is zero at an exact root.  A root
     leaves the sweeps once a step moved it by at most ``SECULAR_RTOL |delta_k|``.
     """
     nb = energies.size
