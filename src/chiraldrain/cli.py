@@ -238,11 +238,9 @@ def cmd_steady(args) -> int:
     spec = _resolve_drain(cfg, lattice)
     out = _out_dir(cfg)
 
-    coupling = spectral.drain_couplings(
-        spectral.diagonalize(lattice), spec.drain, spec.gamma
-    )
-    spectrum = spectral.dynamical_spectrum(spectral.dynamical_matrix(coupling), coupling)
-    state = steady.steady_state(lattice, spec)
+    system = steady.DrainedSystem(lattice, spec.drain, spec.gamma)
+    coupling, spectrum = system.coupling, system.spectrum
+    state = system.steady_state(spec.noise, spec.site_loss)
 
     with open(os.path.join(out, "state.json"), "w") as fh:
         steady.write_state_json(state, fh)
@@ -281,10 +279,8 @@ def cmd_spectrum(args) -> int:
     lattice = _resolve_lattice(cfg)
     spec = _resolve_drain(cfg, lattice)
     out = _out_dir(cfg)
-    coupling = spectral.drain_couplings(
-        spectral.diagonalize(lattice), spec.drain, spec.gamma
-    )
-    spectrum = spectral.dynamical_spectrum(spectral.dynamical_matrix(coupling), coupling)
+    system = steady.DrainedSystem(lattice, spec.drain, spec.gamma)
+    coupling, spectrum = system.coupling, system.spectrum
     report = spectral.spectrum_report(coupling, spectrum)
     with open(os.path.join(out, "spectrum.json"), "w") as fh:
         json.dump(report, fh, indent=1)
@@ -349,11 +345,9 @@ def cmd_check(args) -> int:
     lattice = _resolve_lattice(cfg)
     spec = _resolve_drain(cfg, lattice)
     out = _out_dir(cfg)
-    coupling = spectral.drain_couplings(
-        spectral.diagonalize(lattice), spec.drain, spec.gamma
-    )
+    system = steady.DrainedSystem(lattice, spec.drain, spec.gamma)
+    coupling, spectrum = system.coupling, system.spectrum
     pairing = spectral.chiral_pairing(coupling)
-    spectrum = spectral.dynamical_spectrum(spectral.dynamical_matrix(coupling), coupling)
     kind = cfg.get("sigma")
     if kind == "eigenmodes":
         try:

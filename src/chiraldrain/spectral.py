@@ -164,8 +164,7 @@ def diagonalize(lattice: Lattice) -> EigenSystem:
     try:
         energies, modes = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(h) if h.size else np.inf
-        raise SolverError(f"eigendecomposition failed (cond ~ {cond:.3e}): {exc}") from exc
+        raise SolverError(f"eigendecomposition failed: {exc}") from exc
     return _eigensystem(h, energies, modes)
 
 

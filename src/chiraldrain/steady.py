@@ -4,14 +4,14 @@ The Langevin dynamics of the site operators is linear,
 
     da/dt = D a + noise,    D = -iH - (Gamma/2) P_drain - (loss/2) I,
 
-so the stationary second moments solve a pair of Sylvester equations.  Both
-are solved here by eigendecomposing the drift once and dividing by eigenvalue
-sums in the transformed frame, with iterative refinement to recover the
-accuracy lost on nearly-dark modes, and a Bartels-Stewart fallback when the
-drift eigenbasis is badly conditioned.  Uniform loss only shifts the drift by
-``-(loss/2) I``, which moves its eigenvalues and keeps its eigenvectors, so a
-:class:`DrainedSystem` factorizes the loss-free drift once and reuses that
-factorization for every loss value it is solved at.
+so the stationary second moments solve a pair of Sylvester equations.  With
+``H = Psi diag(eps) Psi^dag`` the drift is ``Psi (-iA - (loss/2) I) Psi^dag``,
+and :mod:`spectral` diagonalizes the diagonal-plus-rank-one ``A`` from its
+secular equation, so a :class:`DrainedSystem` gets the drift eigenbasis in
+closed form from one ``eigh``, divides by eigenvalue sums in that frame and
+refines against the true drift.  A Bartels-Stewart (Schur) solve takes over at
+exceptional points, where the closed-form inverse fails.  Loss only shifts the
+eigenvalues, so one system serves every loss value.
 
 The state is stored as the normal matrix ``<adag_m a_n>`` and the anomalous
 matrix ``<a_m a_n>``.  The quadrature convention throughout the package is
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -39,9 +40,12 @@ from .lattice import Lattice
 from .spectral import (
     ChiralPairing,
     DrainCoupling,
+    DynamicalSpectrum,
     SolverError,
     diagonalize,
     drain_couplings,
+    dynamical_matrix,
+    dynamical_spectrum,
 )
 from .symmetry import SymmetryMatrix
 
@@ -204,9 +208,9 @@ def _diffusion(
     return qn, qm
 
 
-# Above this drift-eigenbasis condition number the spectral solver is
-# abandoned for a Schur-based (Bartels-Stewart) solve.
-_EIG_COND_LIMIT = 1e8
+# Past this inverse defect max|V^-1 V - I| (O(1) at an exceptional point, ~1e-7
+# just off one) the closed-form drift eigenbasis gives way to a Schur solve.
+_INVERSE_DEFECT_LIMIT = 1e-6
 _REFINE_STEPS = 2
 
 
@@ -214,13 +218,13 @@ class _MomentSolver:
     """Solves D' X + X D^T = -Q for the two stationarity equations of one drift.
 
     ``eigenvalues`` are those of ``drift``; ``vecs`` and ``vecs_inv`` are its
-    eigenvectors and their inverse, or None when they are too badly
-    conditioned to use, in which case every solve is a Schur-based one.
+    eigenvectors and their inverse, or None when that inverse is not
+    accurate enough to use, in which case every solve is a Schur-based one.
     """
 
     def __init__(self, drift: np.ndarray, eigenvalues: np.ndarray, vecs=None, vecs_inv=None):
         self.drift = drift
-        self.eigenvalues = lam = eigenvalues
+        lam = eigenvalues
         self.spectral_ok = vecs is not None
         if self.spectral_ok:
             self._v = vecs
@@ -262,38 +266,49 @@ class _MomentSolver:
 class DrainedSystem:
     """A lattice drained at one site with rate ``gamma``, solvable at any loss.
 
-    The loss-free drift ``D0 = -iH - (gamma/2) P_drain`` is eigendecomposed
-    on the first solve, together with the inverse of its eigenvectors and the
-    condition check that picks the spectral or the Schur route.  Each solve
-    at uniform loss ``kappa`` then divides by the shifted eigenvalues of
-    ``D0 - (kappa/2) I`` in the same eigenbasis, so a loss sweep costs one
-    factorization.
+    Built on first use from one ``eigh`` of the lattice: the drain
+    :attr:`coupling` and the secular :attr:`spectrum` of ``A = diag(eps) -
+    (i/2) s s^dag``.  ``A`` is complex symmetric (bright drain phases are
+    zero), so its eigenvectors ``U`` scaled to ``u_k^T u_k = 1`` give the
+    drift eigenbasis ``V = Psi U``, its inverse ``U^T Psi^dag`` and, at loss
+    ``kappa``, eigenvalues ``-i lambda - kappa/2``.  When ``max|V^-1 V - I|``
+    exceeds ``_INVERSE_DEFECT_LIMIT`` every solve is a Schur-based one.
     """
 
     def __init__(self, lattice: Lattice, drain: int, gamma: float):
         self.lattice = lattice
         self.drain = drain
         self.gamma = gamma
-        self._eig = None
+
+    @cached_property
+    def coupling(self) -> DrainCoupling:
+        """Eigenmodes of the lattice coupled to the drain."""
+        return drain_couplings(diagonalize(self.lattice), self.drain, self.gamma)
+
+    @cached_property
+    def spectrum(self) -> DynamicalSpectrum:
+        """Secular spectrum of the dynamical matrix of :attr:`coupling`."""
+        return dynamical_spectrum(dynamical_matrix(self.coupling), self.coupling)
+
+    @cached_property
+    def _eigenbasis(self):
+        """``(V, V^-1, max|V^-1 V - I|)``, with V and V^-1 None past the limit."""
+        u = self.spectrum.modes
+        u = u / np.sqrt(np.einsum("ij,ij->j", u, u))
+        psi = self.coupling.eig.modes
+        vecs, vecs_inv = psi @ u, u.T @ psi.conj().T
+        defect = float(np.abs(vecs_inv @ vecs - np.eye(len(u))).max())
+        if defect <= _INVERSE_DEFECT_LIMIT:
+            return vecs, vecs_inv, defect
+        return None, None, defect
 
     def _solver(self, site_loss: float) -> _MomentSolver:
-        if self._eig is None:
-            lam, vecs = np.linalg.eig(_drift_matrix(self.lattice, self.drain, self.gamma))
-            cond = np.linalg.cond(vecs)
-            if np.isfinite(cond) and cond < _EIG_COND_LIMIT:
-                self._eig = lam, vecs, np.linalg.inv(vecs)
-            else:
-                self._eig = lam, None, None
-        lam, vecs, vecs_inv = self._eig
+        vecs, vecs_inv, _ = self._eigenbasis
         drift = _drift_matrix(self.lattice, self.drain, self.gamma, site_loss)
-        return _MomentSolver(drift, lam - 0.5 * site_loss, vecs, vecs_inv)
+        mu = -1j * self.spectrum.eigenvalues - 0.5 * site_loss
+        return _MomentSolver(drift, mu, vecs, vecs_inv)
 
-    def steady_state(
-        self,
-        noise: SqueezedNoise,
-        site_loss: float = 0.0,
-        dark_tol: float = 1e-10,
-    ) -> CovarianceState:
+    def steady_state(self, noise: SqueezedNoise, site_loss: float = 0.0) -> CovarianceState:
         """Stationary second moments at uniform internal loss ``site_loss``.
 
         Solves ``D M + M D^T + Gamma*anom*P = 0`` for the anomalous matrix and
@@ -310,29 +325,24 @@ class DrainedSystem:
         if site_loss < 0:
             raise ValueError("site_loss must be >= 0")
         if site_loss == 0.0:
-            coupling = drain_couplings(
-                diagonalize(self.lattice), self.drain, self.gamma, dark_tol
-            )
-            if coupling.dark:
+            dark = self.coupling.dark
+            if dark:
                 raise DarkModeError(
-                    coupling.dark,
-                    f"modes {list(coupling.dark)} are dark at drain {self.drain}; "
+                    dark,
+                    f"modes {list(dark)} are dark at drain {self.drain}; "
                     "the steady state is not unique (add site_loss or move the drain)",
                 )
-        # the checks on the spectrum use the shifted eigenvalues of this
-        # solve: the loss-free drift is exactly singular when a dark pair exists
-        solver = self._solver(site_loss)
-        if site_loss == 0.0:
             # near-degenerate doublets can hybridize into modes whose relaxation
             # rate falls far below any individual drain rate; below this floor
             # the stationary moments are not resolvable in double precision
-            slowest = -2.0 * float(solver.eigenvalues.real.max())
+            slowest = self.spectrum.min_bright_decay
             if slowest < 1e-10 * self.gamma:
                 raise SolverError(
                     f"slowest relaxation rate {slowest:.3e} is below 1e-10 * gamma: "
                     "an effectively dark mode makes the steady state numerically "
                     "unreachable (add site_loss or move the drain)"
                 )
+        solver = self._solver(site_loss)
         qn, qm = _diffusion(self.lattice.n_sites, self.drain, self.gamma, noise)
         m = solver.refined(qm, "anomalous")
         n = solver.refined(qn, "normal")
@@ -349,15 +359,11 @@ class DrainedSystem:
         return CovarianceState(normal=n, anomalous=m, residual=residual)
 
 
-def steady_state(
-    lattice: Lattice,
-    spec: DrainSpec,
-    dark_tol: float = 1e-10,
-) -> CovarianceState:
+def steady_state(lattice: Lattice, spec: DrainSpec) -> CovarianceState:
     """Stationary second moments of the drained lattice: one solve of a fresh
     :class:`DrainedSystem` (see :meth:`DrainedSystem.steady_state`)."""
     return DrainedSystem(lattice, spec.drain, spec.gamma).steady_state(
-        spec.noise, spec.site_loss, dark_tol
+        spec.noise, spec.site_loss
     )
 
 

@@ -4,6 +4,7 @@
 whose steady states are pure and given by the closed form;
 ``certification_fixtures`` adds chiral systems that do carry dark modes,
 usable for symmetry certification but not for unique steady states.
+``count_calls`` records the calls of a monkeypatched function.
 """
 
 from __future__ import annotations
@@ -57,3 +58,16 @@ def certification_fixtures() -> tuple[tuple[str, Lattice, int], ...]:
     for coord in [(2, 2), (1, 2)]:
         out.append((f"hofstadter-2pi5-{coord}", hof, hof.site_index(coord)))
     return tuple(out)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for this test and return the list its calls append to."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -10,21 +10,25 @@ from chiraldrain import cli
 from chiraldrain import lattice as lat
 from chiraldrain import spectral, steady
 
+from fixtures import count_calls
+
 
 def run(*args):
     return cli.main(list(args))
 
 
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
+def count_factorizations(monkeypatch):
+    """Call lists of the dense numpy factorizations a command could make."""
+    return {
+        name: count_calls(monkeypatch, np.linalg, name)
+        for name in ("eigh", "eig", "cond", "inv")
+    }
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
-    return calls
+def assert_one_eigh(calls):
+    assert {name: len(c) for name, c in calls.items()} == {
+        "eigh": 1, "eig": 0, "cond": 0, "inv": 0
+    }
 
 
 class TestBuild:
@@ -120,11 +124,13 @@ class TestSteady:
         assert len(rows) == 82
 
     def test_one_dense_factorization(self, tmp_path, monkeypatch):
-        # the spectrum is solved from its secular equation; only the drift is
-        # factorized densely
-        calls = count_calls(monkeypatch, np.linalg, "eig")
-        assert run("steady", "--half-size", "4", "--loss", "1e-3", "--out", str(tmp_path)) == 0
-        assert len(calls) == 1
+        # the spectrum comes from its secular equation and the drift eigenbasis
+        # from the spectrum in closed form: eigh(H) is the only factorization,
+        # also for the lossless solve with its dark-mode census
+        for loss in ("1e-3", "0"):
+            calls = count_factorizations(monkeypatch)
+            assert run("steady", "--half-size", "4", "--loss", loss, "--out", str(tmp_path)) == 0
+            assert_one_eigh(calls)
 
 
 class TestSteadyOutputs:
@@ -132,13 +138,13 @@ class TestSteadyOutputs:
 
     def test_files_match_reference_encoders(self, tmp_path, monkeypatch):
         solved = []
-        solve = steady.steady_state
+        solve = steady.DrainedSystem.steady_state
 
         def keep(*args, **kwargs):
             solved.append(solve(*args, **kwargs))
             return solved[-1]
 
-        monkeypatch.setattr(steady, "steady_state", keep)
+        monkeypatch.setattr(steady.DrainedSystem, "steady_state", keep)
         code = run(
             "steady", "--half-size", "2", "--drain", "2,2", "--squeeze", "0.8",
             "--loss", "0.01", "--reference-site", "1,-1", "--out", str(tmp_path),
@@ -177,6 +183,11 @@ class TestSpectrum:
         rows = list(csv.reader(open(tmp_path / "spectrum.csv")))
         assert len(rows) == 4
 
+    def test_one_dense_factorization(self, tmp_path, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        assert run("spectrum", "--half-size", "4", "--out", str(tmp_path)) == 0
+        assert_one_eigh(calls)
+
     def test_unconverged_roots_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "SECULAR_MAX_SWEEPS", 1)
         code = run("spectrum", "--half-size", "4", "--drain", "2,2", "--out", str(tmp_path))
@@ -185,6 +196,11 @@ class TestSpectrum:
 
 
 class TestCheck:
+    def test_one_dense_factorization(self, tmp_path, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        assert run("check", "--half-size", "4", "--out", str(tmp_path)) == 0
+        assert_one_eigh(calls)
+
     def test_hofstadter_bipartite_passes(self, tmp_path, capsys):
         code = run(
             "check", "--sigma", "bipartite", "--drain", "2,2", "--out", str(tmp_path)
@@ -334,21 +350,22 @@ class TestSweep:
         assert f"(realization seed {seed}, value 0.0)" in errors[0] and "dark" in errors[0]
 
     def test_loss_sweep_factorizes_once(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, np.linalg, "eig")
+        calls = count_factorizations(monkeypatch)
         args = list(self.sweep_args(str(tmp_path)))
         args[args.index("--values") + 1] = "1e-3,1e-2,1e-1,0.5"
         args[args.index("--ensemble") + 1] = "1"
         assert run(*args, "--jobs", "1") == 0
-        assert len(calls) == 1
+        assert_one_eigh(calls)
 
     def test_disorder_sweep_factorizes_each_realization(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, np.linalg, "eig")
+        calls = count_factorizations(monkeypatch)
         code = run(
             "sweep", "--half-size", "1", "--drain", "1,1", "--axis", "disorder",
             "--values", "1e-4,1e-3", "--ensemble", "2", "--jobs", "1", "--out", str(tmp_path),
         )
         assert code == 0
-        assert len(calls) == 4
+        assert len(calls["eigh"]) == 4
+        assert not (calls["eig"] or calls["cond"] or calls["inv"])
 
     def test_loss_sweep_checks_each_shifted_solve(self, tmp_path, capsys):
         # drain (1,1) of the 3x3 lattice leaves a dark mode: the loss-free drift

@@ -10,7 +10,7 @@ from chiraldrain import lattice as lat
 from chiraldrain import spectral as sp
 from chiraldrain import steady
 
-from fixtures import chiral_fixtures, inversion_chain
+from fixtures import chiral_fixtures, count_calls, inversion_chain
 
 CORPUS = chiral_fixtures()
 CORPUS_IDS = [c[0] for c in CORPUS]
@@ -188,6 +188,8 @@ class TestSteadyState:
         lattice = lat.build_chain(5, [0.7, 1.2, 0.4, 1.5])
         system = steady.DrainedSystem(lattice, 0, 1.0)
         qn, qm = steady._diffusion(5, 0, 1.0, steady.SqueezedNoise(0.8))
+        # the closed-form inverse passes the selector, so the Schur path is forced
+        assert system._eigenbasis[2] <= steady._INVERSE_DEFECT_LIMIT
         for loss in (0.0, 0.05):
             solver = system._solver(loss)
             assert solver.spectral_ok
@@ -212,6 +214,48 @@ def sylvester_reference(lattice, drain, gamma, noise, loss):
     return nrm, m
 
 
+class RefinedSylvester:
+    """Oracle moments: Bartels-Stewart solves, each refined by two steps.
+
+    The solves are those of ``scipy.linalg.solve_sylvester`` (Schur forms,
+    LAPACK ``trsyl``), except that every solve shares the one Schur form
+    ``D0 = Z T Z^dag`` of the loss-free drift: loss shifts ``T`` by
+    ``-loss/2`` and keeps ``Z``, and ``conj(D)``, the Schur form that
+    ``solve_sylvester`` takes of ``(D^T)^dag``, has the factors ``conj(T)``
+    and ``conj(Z)``.
+    """
+
+    def __init__(self, lattice, drain, gamma):
+        n = lattice.n_sites
+        self.d0 = -1j * lattice.hamiltonian.astype(complex)
+        self.d0[drain, drain] -= 0.5 * gamma
+        self.t0, self.z = scipy.linalg.schur(self.d0, output="complex")
+        self.q = np.zeros((n, n), dtype=complex)
+        self.q[drain, drain] = gamma
+
+    def moments(self, noise, loss):
+        shift = 0.5 * loss * np.eye(len(self.q))
+        d, t = self.d0 - shift, self.t0 - shift
+        s, v = t.conj(), self.z.conj()
+
+        def refined(left, r, u, q):
+            def solve(c):
+                y, scale, info = scipy.linalg.lapack.ztrsyl(
+                    r, s, u.conj().T @ c @ v, tranb="C"
+                )
+                assert info >= 0
+                return u @ (scale * y) @ v.conj().T
+
+            x = solve(-q)
+            for _ in range(2):
+                x = x + solve(-(left @ x + x @ d.T + q))
+            return x
+
+        normal = refined(d.conj(), s, v, noise.nbar * self.q)
+        anomalous = refined(d, t, self.z, noise.anomalous * self.q)
+        return normal, anomalous
+
+
 def relative_gap(state, normal, anomalous):
     return max(
         np.abs(state.normal - normal).max() / np.abs(normal).max(),
@@ -233,14 +277,7 @@ class TestDrainedSystem:
     def test_one_factorization_matches_sylvester_at_every_loss(
         self, monkeypatch, lattice, drain, losses
     ):
-        calls = []
-        eig = np.linalg.eig
-
-        def counted(a):
-            calls.append(1)
-            return eig(a)
-
-        monkeypatch.setattr(np.linalg, "eig", counted)
+        eigh, eig = (count_calls(monkeypatch, np.linalg, name) for name in ("eigh", "eig"))
         gamma, noise = 3.0, steady.SqueezedNoise(1.0, 0.3)
         system = steady.DrainedSystem(lattice, drain, gamma)
         for loss in losses:
@@ -250,7 +287,57 @@ class TestDrainedSystem:
             # of any backward-stable solve grows like eps / loss: both routes
             # differ by 5.3e-12 at loss 1e-4, with a fresh eig per loss too
             assert relative_gap(state, normal, anomalous) <= max(1e-12, 1e-15 / loss)
-        assert len(calls) == 1
+        # the drift eigenbasis comes from the lattice's one eigh in closed form
+        assert (len(eigh), len(eig)) == (1, 0)
+
+    @pytest.mark.parametrize("loss", [0.0, 0.01])
+    def test_exceptional_point_takes_schur_path(self, loss):
+        # gamma = 4 puts the drained dimer's two dynamical eigenvalues on one
+        # Jordan block: u^T u = 0 there, so the closed-form V^-1 is wrong
+        lattice, gamma, noise = lat.build_chain(2), 4.0, steady.SqueezedNoise(1.0, 0.3)
+        system = steady.DrainedSystem(lattice, 0, gamma)
+        state = system.steady_state(noise, site_loss=loss)
+        assert system._eigenbasis[2] > steady._INVERSE_DEFECT_LIMIT
+        assert not system._solver(loss).spectral_ok
+        normal, anomalous = sylvester_reference(lattice, 0, gamma, noise, loss)
+        assert relative_gap(state, normal, anomalous) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.01, 3.0, 100.0])
+    @pytest.mark.parametrize(
+        "lattice, site",
+        [
+            (lat.build_chain(3), 1),
+            (lat.build_hofstadter(8, 1.0, np.pi / 3), (2, 2)),
+            (lat.add_disorder(lat.build_hofstadter(8, 1.0, np.pi / 2), 1e-3, 3, (180,)), (2, 2)),
+        ],
+        ids=["dark-chain", "17x17-pi/3", "17x17-pi/2-disordered"],
+    )
+    def test_matches_refined_sylvester_on_corpus(self, lattice, site, gamma):
+        # the dark centre of the 3-site chain, and (2, 2), site 180, of the
+        # 17x17 lattices: 61 dark modes at flux pi/3, none once disordered
+        drain = lattice.site_index(site)
+        noise = steady.SqueezedNoise(1.0, 0.3)
+        system = steady.DrainedSystem(lattice, drain, gamma)
+        oracle = RefinedSylvester(lattice, drain, gamma)
+        for loss in (1e-4, 1e-2, 1e-1):
+            state = system.steady_state(noise, site_loss=loss)
+            assert relative_gap(state, *oracle.moments(noise, loss)) <= 1e-12
+
+    def test_matches_refined_sylvester_with_dark_modes_25x25(self):
+        # drain (0, 0) of the quarter-flux 25x25 lattice leaves 468 dark modes
+        lattice = lat.build_hofstadter(12, 1.0, np.pi / 2)
+        drain, gamma, loss = lattice.site_index((0, 0)), 3.0, 1e-4
+        noise = steady.SqueezedNoise(1.0, 0.3)
+        state = steady.steady_state(lattice, steady.DrainSpec(drain, gamma, noise, loss))
+        oracle = RefinedSylvester(lattice, drain, gamma)
+        assert relative_gap(state, *oracle.moments(noise, loss)) <= 1e-12
+
+    def test_refined_sylvester_oracle_is_solve_sylvester(self):
+        lattice, noise, loss = lat.build_chain(5, [0.7, 1.2, 0.4, 1.5]), steady.SqueezedNoise(0.8), 0.05
+        normal, anomalous = RefinedSylvester(lattice, 0, 1.0).moments(noise, loss)
+        ref_normal, ref_anomalous = sylvester_reference(lattice, 0, 1.0, noise, loss)
+        assert np.abs(normal - ref_normal).max() < 1e-14
+        assert np.abs(anomalous - ref_anomalous).max() < 1e-14
 
     def test_reused_system_matches_fresh_one(self):
         # the factorization is the only state a system carries between solves
