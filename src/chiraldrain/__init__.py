@@ -43,6 +43,7 @@ from .steady import (
     beta_occupations,
     evolve,
     extract_sigma,
+    log_purity,
     purity,
     quadrature_covariance,
     steady_state,

@@ -263,11 +263,11 @@ def cmd_steady(args) -> int:
         np.abs(state.anomalous[ref, :, None]) / scale,
     )
 
-    mu = steady.purity(state)
+    log_mu = steady.log_purity(state)
     _emit_config(cfg, out, "steady")
     print(f"wrote state.json, heatmap.csv, slice.csv in {out}")
     print(
-        f"purity={mu:.12g} dark_modes={len(coupling.dark)} "
+        f"purity={np.exp(log_mu):.12g} log_purity={log_mu:.12g} dark_modes={len(coupling.dark)} "
         f"min_relaxation_rate={spectrum.min_bright_decay:.6g} "
         f"solver_residual={state.residual:.3e}"
     )

@@ -2,12 +2,12 @@
 
 Entanglement between two sites is measured by the logarithmic negativity
 ``E_N = max(0, -ln(2*nu))`` where ``nu`` is the smallest symplectic
-eigenvalue of the partially transposed two-mode covariance (natural log,
-vacuum variance 1/2).  For a two-mode covariance ``[[A, C], [C^T, B]]`` it
-follows from the local invariants, ``2 nu^2 = Delta - sqrt(Delta^2 - 4 det)``
-with ``Delta = det A + det B - 2 det C`` (Serafini, Illuminati and De Siena,
-J. Phys. B 37, L21 (2004)), and is evaluated in the cancellation-free form
-``nu^2 = 2 det / (Delta + sqrt(Delta^2 - 4 det))``.  For the square-lattice
+eigenvalue of the partially transposed two-mode covariance ``C^PT`` (natural
+log, vacuum variance 1/2).  It is read off the Hermitian ``L^T (i Omega) L``,
+whose eigenvalues are ``+-nu`` for the Cholesky factor ``C^PT = L L^T``, and
+not from the local invariants: their discriminant ``(nu_+^2 - nu_-^2)^2``
+vanishes for degenerate spectra, where its square root turns rounding into
+errors near 1e-8 (uncorrelated pure sites).  For the square-lattice
 steady states whose pairing matrix maps (x, y) to (y, x), the headline
 figure of merit is the average of ``E_N`` over all mirrored pairs.
 """
@@ -36,6 +36,8 @@ __all__ = [
 _OMEGA4 = np.kron(np.eye(2), symplectic_form(1))
 # Reorders quadrature_covariance's (x_m, x_n, p_m, p_n) into that order; an involution.
 _INTERLEAVE = [0, 2, 1, 3]
+# Sign pattern of the partial transposition p_n -> -p_n on a covariance in that order.
+_TRANSPOSE_SIGNS = np.outer([1, 1, 1, -1], [1, 1, 1, -1])
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,11 @@ def _log_negativities(cov: np.ndarray, pairs: list) -> np.ndarray:
             f"two-mode covariance of pair {tuple(pairs[bad[0]])} is unphysical "
             f"(margin {margins[bad[0]]:.3e})"
         )
-    det = np.linalg.det
-    # partial transposition flips the sign of det(C) and keeps det(sigma)
-    delta = det(cov[:, :2, :2]) + det(cov[:, 2:, 2:]) - 2.0 * det(cov[:, :2, 2:])
-    det_cov = det(cov)
-    nu_sq = 2.0 * det_cov / (delta + np.sqrt(np.maximum(delta**2 - 4.0 * det_cov, 0.0)))
-    return np.maximum(0.0, -0.5 * np.log(4.0 * nu_sq))
+    # partial transposition flips p_n; the Hermitian L^T (i Omega) L of the
+    # Cholesky factor C^PT = L L^T has the eigenvalues +-nu
+    chol = np.linalg.cholesky(cov * _TRANSPOSE_SIGNS)
+    nu = np.linalg.eigvalsh(np.swapaxes(chol, 1, 2) @ (1j * _OMEGA4) @ chol)[:, 2]
+    return np.maximum(0.0, -np.log(2.0 * nu))
 
 
 def log_negativity(state: CovarianceState, m: int, n: int) -> float:

@@ -8,10 +8,12 @@ so the stationary second moments solve a pair of Sylvester equations.  With
 ``H = Psi diag(eps) Psi^dag`` the drift is ``Psi (-iA - (loss/2) I) Psi^dag``,
 and :mod:`spectral` diagonalizes the diagonal-plus-rank-one ``A`` from its
 secular equation, so a :class:`DrainedSystem` gets the drift eigenbasis in
-closed form from one ``eigh``, divides by eigenvalue sums in that frame and
-refines against the true drift.  A Bartels-Stewart (Schur) solve takes over at
-exceptional points, where the closed-form inverse fails.  Loss only shifts the
-eigenvalues, so one system serves every loss value.
+closed form from one ``eigh``.  The diffusion acts on the drain site alone,
+so each equation is solved from that rank-one term by dividing by eigenvalue
+sums in that frame, then corrected once against the true drift.  A
+Bartels-Stewart (Schur) basis takes over at exceptional points, where the
+closed-form inverse fails.  Loss only shifts the eigenvalues, or the Schur
+factor's diagonal, so one system serves every loss value.
 
 The state is stored as the normal matrix ``<adag_m a_n>`` and the anomalous
 matrix ``<a_m a_n>``.  The quadrature convention throughout the package is
@@ -61,6 +63,7 @@ __all__ = [
     "analytic_chiral_state",
     "extract_sigma",
     "purity",
+    "log_purity",
     "beta_occupations",
     "BetaModeReport",
     "evolve",
@@ -209,58 +212,63 @@ def _diffusion(
 
 
 # Past this inverse defect max|V^-1 V - I| (O(1) at an exceptional point, ~1e-7
-# just off one) the closed-form drift eigenbasis gives way to a Schur solve.
+# just off one) the closed-form drift eigenbasis gives way to a Schur basis.
 _INVERSE_DEFECT_LIMIT = 1e-6
-_REFINE_STEPS = 2
 
 
 class _MomentSolver:
-    """Solves D' X + X D^T = -Q for the two stationarity equations of one drift.
+    """Solves ``D X + X D^T = -c P`` ("anomalous") and ``conj(D) X + X D^T =
+    -c P`` ("normal") for one drift ``D = B T B^-1``, ``P`` the drain projector.
 
-    ``eigenvalues`` are those of ``drift``; ``vecs`` and ``vecs_inv`` are its
-    eigenvectors and their inverse, or None when that inverse is not
-    accurate enough to use, in which case every solve is a Schur-based one.
+    ``t`` holds the eigenvalues of ``D`` (``B`` its eigenvectors) or its
+    upper-triangular Schur factor (``B`` unitary).  With ``B'`` = ``B``, or
+    ``conj(B)`` for the normal equation, ``X = B' Y B^T`` turns a right-hand
+    side ``F`` into ``T' Y + Y T^T = B'^-1 F B^-T``.  For the rank-one ``c P``
+    that needs only the drain column ``g`` of ``B^-1``; one correction against
+    the true drift follows.
     """
 
-    def __init__(self, drift: np.ndarray, eigenvalues: np.ndarray, vecs=None, vecs_inv=None):
-        self.drift = drift
-        lam = eigenvalues
-        self.spectral_ok = vecs is not None
-        if self.spectral_ok:
-            self._v = vecs
-            self._vi = vecs_inv
-            self._den_m = lam[:, None] + lam[None, :]
-            self._den_n = lam.conj()[:, None] + lam[None, :]
-            scale = max(np.abs(lam).max(), 1e-300)
-            if (
-                np.abs(self._den_m).min() < 1e-15 * scale
-                or np.abs(self._den_n).min() < 1e-15 * scale
-            ):
+    def __init__(self, drift: np.ndarray, drain: int, basis, basis_inv, t: np.ndarray):
+        self.drift, self.drain = drift, drain
+        self.basis, self.basis_inv, self.t = basis, basis_inv, t
+        if t.ndim == 1:
+            self._den = {"anomalous": t[:, None] + t, "normal": t.conj()[:, None] + t}
+            scale = max(np.abs(t).max(), 1e-300)
+            if min(np.abs(den).min() for den in self._den.values()) < 1e-15 * scale:
                 raise SolverError(
                     "drift is singular for the moment equations; the steady "
                     "state is not unique (undamped mode pair)"
                 )
 
-    def solve_anomalous(self, q: np.ndarray) -> np.ndarray:
-        if self.spectral_ok:
-            y = -(self._vi @ q @ self._vi.T) / self._den_m
-            return self._v @ y @ self._v.T
-        return scipy.linalg.solve_sylvester(self.drift, self.drift.T, -q)
+    def _frame_solve(self, rhs: np.ndarray, kind: str) -> np.ndarray:
+        if self.t.ndim == 1:
+            return rhs / self._den[kind]
+        left = self.t if kind == "anomalous" else self.t.conj()
+        y, scale, _ = scipy.linalg.lapack.ztrsyl(left, self.t.conj(), rhs, tranb="C")
+        return y / scale
 
-    def solve_normal(self, q: np.ndarray) -> np.ndarray:
-        if self.spectral_ok:
-            z = -(self._vi.conj() @ q @ self._vi.T) / self._den_n
-            return self._v.conj() @ z @ self._v.T
-        return scipy.linalg.solve_sylvester(self.drift.conj(), self.drift.T, -q)
+    def moments(self, c: complex, kind: str) -> tuple[np.ndarray, float]:
+        """The (anomalous or normal) moments for diffusion ``c P`` and the
+        max-norm of their stationarity residual."""
+        side = np.conj if kind == "normal" else np.asanyarray  # B -> B', D -> D'
+        b, b_inv = self.basis, self.basis_inv
+        left, left_inv, drift = side(b), side(b_inv), side(self.drift)
 
-    def refined(self, q: np.ndarray, kind: str, steps: int = _REFINE_STEPS) -> np.ndarray:
-        solve = self.solve_anomalous if kind == "anomalous" else self.solve_normal
-        left = self.drift if kind == "anomalous" else self.drift.conj()
-        x = solve(q)
-        for _ in range(steps):
-            res = left @ x + x @ self.drift.T + q
-            x = x + solve(res)
-        return x
+        def solve(rhs):
+            x = left @ self._frame_solve(rhs, kind) @ b.T
+            return 0.5 * (x + side(x).T)
+
+        def residual(x):
+            # x is exactly (Hermitian-)symmetric, so X D^T is side(D' X)^T
+            p = drift @ x
+            res = p + side(p).T
+            res[self.drain, self.drain] += c
+            return res
+
+        g = b_inv[:, self.drain]
+        x = solve(-c * np.outer(side(g), g))
+        x = x + solve(-(left_inv @ residual(x) @ b_inv.T))
+        return x, float(np.abs(residual(x)).max())
 
 
 class DrainedSystem:
@@ -271,8 +279,12 @@ class DrainedSystem:
     (i/2) s s^dag``.  ``A`` is complex symmetric (bright drain phases are
     zero), so its eigenvectors ``U`` scaled to ``u_k^T u_k = 1`` give the
     drift eigenbasis ``V = Psi U``, its inverse ``U^T Psi^dag`` and, at loss
-    ``kappa``, eigenvalues ``-i lambda - kappa/2``.  When ``max|V^-1 V - I|``
-    exceeds ``_INVERSE_DEFECT_LIMIT`` every solve is a Schur-based one.
+    ``kappa``, eigenvalues ``mu = -i lambda - kappa/2``.  Each moment equation
+    is solved from its rank-one diffusion in that basis, ``M = V [-Gamma anom
+    g_k g_l / (mu_k + mu_l)] V^T`` with ``g = V^-1 e_drain`` (dark modes have
+    ``g_k = 0``), then corrected once against the true drift.  When
+    ``max|V^-1 V - I|`` exceeds ``_INVERSE_DEFECT_LIMIT`` the same steps run
+    in the Schur basis of the loss-free drift, factored once per system.
     """
 
     def __init__(self, lattice: Lattice, drain: int, gamma: float):
@@ -302,11 +314,21 @@ class DrainedSystem:
             return vecs, vecs_inv, defect
         return None, None, defect
 
+    @cached_property
+    def _schur(self):
+        """``(Z, Z^dag, T)``: the complex Schur form ``Z T Z^dag`` of the loss-free drift."""
+        drift = _drift_matrix(self.lattice, self.drain, self.gamma)
+        t, z = scipy.linalg.schur(drift, output="complex")
+        return z, z.conj().T, t
+
     def _solver(self, site_loss: float) -> _MomentSolver:
-        vecs, vecs_inv, _ = self._eigenbasis
         drift = _drift_matrix(self.lattice, self.drain, self.gamma, site_loss)
-        mu = -1j * self.spectrum.eigenvalues - 0.5 * site_loss
-        return _MomentSolver(drift, mu, vecs, vecs_inv)
+        vecs, vecs_inv, _ = self._eigenbasis
+        if vecs is not None:
+            mu = -1j * self.spectrum.eigenvalues - 0.5 * site_loss
+            return _MomentSolver(drift, self.drain, vecs, vecs_inv, mu)
+        z, z_inv, t = self._schur
+        return _MomentSolver(drift, self.drain, z, z_inv, t - 0.5 * site_loss * np.eye(len(t)))
 
     def steady_state(self, noise: SqueezedNoise, site_loss: float = 0.0) -> CovarianceState:
         """Stationary second moments at uniform internal loss ``site_loss``.
@@ -343,14 +365,8 @@ class DrainedSystem:
                     "unreachable (add site_loss or move the drain)"
                 )
         solver = self._solver(site_loss)
-        qn, qm = _diffusion(self.lattice.n_sites, self.drain, self.gamma, noise)
-        m = solver.refined(qm, "anomalous")
-        n = solver.refined(qn, "normal")
-        m = 0.5 * (m + m.T)
-        n = 0.5 * (n + n.conj().T)
-        d = solver.drift
-        res_m = float(np.abs(d @ m + m @ d.T + qm).max())
-        res_n = float(np.abs(d.conj() @ n + n @ d.T + qn).max())
+        m, res_m = solver.moments(self.gamma * noise.anomalous, "anomalous")
+        n, res_n = solver.moments(self.gamma * noise.nbar, "normal")
         residual = max(res_m, res_n)
         if residual > 1e-9 * self.gamma:
             raise SolverError(
@@ -428,16 +444,21 @@ def analytic_chiral_state(
     )
 
 
-def purity(state: CovarianceState) -> float:
-    """Gaussian purity ``2^-N / sqrt(det C)``; 1 exactly for pure states."""
+def log_purity(state: CovarianceState) -> float:
+    """Natural log of the Gaussian purity, ``-N ln 2 - ln(det C)/2``; 0 for pure states."""
     c = quadrature_covariance(state)
     sign, logdet = np.linalg.slogdet(c)
     if sign <= 0:
         raise ValueError("covariance has non-positive determinant; state is unphysical")
-    mu = float(np.exp(-state.n_modes * np.log(2.0) - 0.5 * logdet))
-    if mu > 1.0 + 1e-8:
-        raise ValueError(f"purity {mu} > 1; covariance is unphysical")
-    return min(mu, 1.0)
+    log_mu = float(-state.n_modes * np.log(2.0) - 0.5 * logdet)
+    if np.exp(log_mu) > 1.0 + 1e-8:
+        raise ValueError(f"purity {np.exp(log_mu)} > 1; covariance is unphysical")
+    return min(log_mu, 0.0)
+
+
+def purity(state: CovarianceState) -> float:
+    """Gaussian purity ``2^-N / sqrt(det C)``; 1 exactly for pure states."""
+    return float(np.exp(log_purity(state)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,17 @@ class TestSteady:
         rows = list(csv.reader(open(tmp_path / "heatmap.csv")))
         assert rows[0][1:] == ["0", "1", "2"]
         assert float(rows[1][1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_log_purity_printed_next_to_purity(self, tmp_path, capsys):
+        code = run(
+            "steady", "--model", "chain", "--sites", "4", "--drain", "0", "--gamma", "1.0",
+            "--squeeze", "0.8", "--loss", "0.02", "--out", str(tmp_path),
+        )
+        assert code == 0
+        values = dict(re.findall(r"(\w+)=(\S+)", capsys.readouterr().out))
+        log_mu = float(values["log_purity"])
+        assert log_mu < -1e-6
+        assert np.exp(log_mu) == pytest.approx(float(values["purity"]), rel=1e-11)
 
     def test_zero_squeezing_zero_heatmap(self, tmp_path):
         run(

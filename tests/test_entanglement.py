@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,6 +46,16 @@ def negativity_from_eigenvalues(cov):
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     nu = np.abs(np.linalg.eigvals(1j * omega @ flip @ cov @ flip)).min()
     return max(0.0, -np.log(2.0 * nu))
+
+
+def negativity_mpmath(cov, dps=40):
+    """The determinant route evaluated with ``dps`` digits on the same doubles,
+    so the square root of a vanishing discriminant costs nothing."""
+    with mpmath.workdps(dps):
+        c = mpmath.matrix(cov.tolist())
+        delta = mpmath.det(c[0:2, 0:2]) + mpmath.det(c[2:4, 2:4]) - 2 * mpmath.det(c[0:2, 2:4])
+        nu = mpmath.sqrt((delta - mpmath.sqrt(delta**2 - 4 * mpmath.det(c))) / 2)
+        return float(max(0, -mpmath.log(2 * nu)))
 
 
 def mirrored_pairs(hof):
@@ -135,6 +146,20 @@ class TestLogNegativity:
             cov = ent.reduced_covariance(state, m, n).cov
             assert abs(mine - negativity_from_determinants(cov)) < 1e-9
             assert abs(mine - negativity_from_eigenvalues(cov)) < 1e-9
+
+    def test_matches_mpmath_where_the_spectrum_is_degenerate(self):
+        # the drain site is pure and uncorrelated with every other site, so
+        # nu_+ = nu_- there: the local-invariant route read 5.3e-9 on this state
+        hof, drain, state = hofstadter_state()
+        squeezed = [steady.SqueezedNoise(r, phi) for r, phi in ((1.0, 0.3), (2.0, -1.1))]
+        product = steady.CovarianceState(
+            normal=np.diag([s.nbar for s in squeezed]).astype(complex),
+            anomalous=np.diag([s.anomalous for s in squeezed]),
+        )
+        cases = [(state, drain, other) for other in range(hof.n_sites) if other != drain]
+        for st, m, n in cases + [(product, 0, 1)]:
+            cov = ent.reduced_covariance(st, min(m, n), max(m, n)).cov
+            assert abs(ent.log_negativity(st, m, n) - negativity_mpmath(cov)) <= 1e-13
 
     @pytest.mark.parametrize("case", CORPUS[:4] + CORPUS[-2:], ids=CORPUS_IDS[:4] + CORPUS_IDS[-2:])
     def test_drain_site_unentangled(self, case):

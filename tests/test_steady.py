@@ -187,19 +187,64 @@ class TestSteadyState:
     def test_spectral_and_schur_paths_agree(self):
         lattice = lat.build_chain(5, [0.7, 1.2, 0.4, 1.5])
         system = steady.DrainedSystem(lattice, 0, 1.0)
-        qn, qm = steady._diffusion(5, 0, 1.0, steady.SqueezedNoise(0.8))
+        noise = steady.SqueezedNoise(0.8)
         # the closed-form inverse passes the selector, so the Schur path is forced
         assert system._eigenbasis[2] <= steady._INVERSE_DEFECT_LIMIT
+        z, z_inv, t = system._schur
         for loss in (0.0, 0.05):
-            solver = system._solver(loss)
-            assert solver.spectral_ok
-            m_fast = solver.refined(qm, "anomalous")
-            n_fast = solver.refined(qn, "normal")
-            solver.spectral_ok = False
-            m_slow = solver.refined(qm, "anomalous")
-            n_slow = solver.refined(qn, "normal")
-            assert np.abs(m_fast - m_slow).max() < 1e-10
-            assert np.abs(n_fast - n_slow).max() < 1e-10
+            fast = system._solver(loss)
+            assert fast.t.ndim == 1
+            slow = steady._MomentSolver(fast.drift, 0, z, z_inv, t - 0.5 * loss * np.eye(5))
+            for c, kind in ((noise.anomalous, "anomalous"), (noise.nbar, "normal")):
+                assert np.abs(fast.moments(c, kind)[0] - slow.moments(c, kind)[0]).max() < 1e-10
+
+    @pytest.mark.parametrize("loss", [0.0, 1e-3])
+    @pytest.mark.parametrize("case", CORPUS, ids=CORPUS_IDS)
+    def test_reported_residual_is_the_two_product_residual(self, case, loss):
+        # the solver forms D X + X D^T as P + P^T with P = D X; the dense
+        # two-product form of the same moments must agree, so it cannot under-report
+        name, lattice, drain = case
+        gamma, noise = 3.0, steady.SqueezedNoise(1.0, 0.3)
+        state = solve(lattice, drain, gamma, 1.0, 0.3, loss)
+        d = steady._drift_matrix(lattice, drain, gamma, loss)
+        qn, qm = steady._diffusion(lattice.n_sites, drain, gamma, noise)
+        dense = max(
+            np.abs(d @ state.anomalous + state.anomalous @ d.T + qm).max(),
+            np.abs(d.conj() @ state.normal + state.normal @ d.T + qn).max(),
+        )
+        assert abs(state.residual - dense) <= 1e-15 * gamma * max(abs(noise.anomalous), noise.nbar)
+
+    def test_lossy_solve_makes_sixteen_matrix_products(self, monkeypatch):
+        products = []
+
+        class Logged(np.ndarray):
+            """Arrays that log the operand shapes of each matrix product they enter."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [x.view(np.ndarray) if isinstance(x, Logged) else x for x in inputs]
+                if ufunc is np.matmul:
+                    products.append([np.shape(x) for x in inputs])
+                result = getattr(ufunc, method)(*inputs, **kwargs)
+                return result.view(Logged) if isinstance(result, np.ndarray) else result
+
+        make_solver = steady.DrainedSystem._solver
+
+        def logged_solver(system, site_loss):
+            solver = make_solver(system, site_loss)
+            solver.drift, solver.basis, solver.basis_inv = (
+                a.view(Logged) for a in (solver.drift, solver.basis, solver.basis_inv)
+            )
+            return solver
+
+        monkeypatch.setattr(steady.DrainedSystem, "_solver", logged_solver)
+        dense = [count_calls(monkeypatch, np.linalg, name) for name in ("eig", "cond", "inv")]
+        system = steady.DrainedSystem(lat.build_hofstadter(4, 1.0, np.pi / 2), 60, 3.0)
+        state = system.steady_state(steady.SqueezedNoise(1.0, 0.3), site_loss=1e-3)
+        assert system._solver(1e-3).t.ndim == 1
+        # per equation: 2 for the rank-one solve, 4 for the correction, 1 per residual
+        assert products == [[(81, 81), (81, 81)]] * 16
+        assert [len(calls) for calls in dense] == [0, 0, 0]
+        assert state.residual < 1e-12
 
 
 def sylvester_reference(lattice, drain, gamma, noise, loss):
@@ -298,9 +343,20 @@ class TestDrainedSystem:
         system = steady.DrainedSystem(lattice, 0, gamma)
         state = system.steady_state(noise, site_loss=loss)
         assert system._eigenbasis[2] > steady._INVERSE_DEFECT_LIMIT
-        assert not system._solver(loss).spectral_ok
+        assert system._solver(loss).t.ndim == 2  # the triangular Schur factor
         normal, anomalous = sylvester_reference(lattice, 0, gamma, noise, loss)
         assert relative_gap(state, normal, anomalous) <= 1e-12
+
+    def test_schur_form_is_factored_once_per_system(self, monkeypatch):
+        schur = count_calls(monkeypatch, scipy.linalg, "schur")
+        lattice, gamma, noise = lat.build_chain(2), 4.0, steady.SqueezedNoise(1.0, 0.3)
+        system = steady.DrainedSystem(lattice, 0, gamma)
+        losses = (0.0, 0.01, 0.1)
+        states = [system.steady_state(noise, site_loss=loss) for loss in losses]
+        assert len(schur) == 1
+        for state, loss in zip(states, losses):
+            normal, anomalous = sylvester_reference(lattice, 0, gamma, noise, loss)
+            assert relative_gap(state, normal, anomalous) <= 1e-12
 
     @pytest.mark.parametrize("gamma", [0.01, 3.0, 100.0])
     @pytest.mark.parametrize(
