@@ -15,8 +15,7 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -408,9 +407,11 @@ def _realization_seed(base_seed: int, value_index: int, realization: int) -> int
 _sweep_base: dict = {}
 
 
-def _init_sweep(lattice_data, drain, gamma, noise) -> None:
-    """Install the sweep's base lattice and its drained system in this process."""
-    lattice = lat.lattice_from_dict(lattice_data)
+def _init_sweep(lattice, drain, gamma, noise) -> None:
+    """Install the sweep's base lattice (its dict form in pool workers) and its
+    drained system in this process."""
+    if isinstance(lattice, dict):
+        lattice = lat.lattice_from_dict(lattice)
     _sweep_base.update(
         lattice=lattice, drain=drain, gamma=gamma, noise=noise,
         system=steady.DrainedSystem(lattice, drain, gamma),
@@ -429,6 +430,37 @@ def _sweep_point(task) -> float:
         system, loss = _sweep_base["system"], value
     state = system.steady_state(_sweep_base["noise"], site_loss=loss)
     return entanglement.mirrored_pair_average(state, lattice)
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _sweep_pool(jobs: int, initargs):
+    """A process pool of ``jobs`` spawned sweep workers with one BLAS thread each.
+
+    Forked workers would inherit the parent's BLAS thread pool, so ``jobs``
+    workers would run ``jobs`` times as many threads as the machine has cores.
+    Spawned workers load BLAS afresh and read the thread variables, which are
+    set to 1 while the pool runs; the caller's environment is restored after.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_sweep, initargs=initargs,
+        ) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def cmd_sweep(args) -> int:
@@ -463,14 +495,14 @@ def cmd_sweep(args) -> int:
         for vi, value in enumerate(values)
         for k in range(ensemble)
     ]
-    base = (lat.lattice_to_dict(lattice), spec.drain, spec.gamma, spec.noise)
+    base = (spec.drain, spec.gamma, spec.noise)
     results = []
     try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_sweep, initargs=base
+        with _sweep_pool(
+            jobs, (lat.lattice_to_dict(lattice), *base)
         ) if jobs > 1 else nullcontext() as pool:
             if pool is None:
-                _init_sweep(*base)
+                _init_sweep(lattice, *base)
             # results arrive in task order, so tasks[len(results)] is the one that failed
             for result in (pool.map if pool else map)(_sweep_point, tasks):
                 results.append(result)

@@ -408,7 +408,10 @@ def _secular_roots(energies: np.ndarray, half_rates: np.ndarray) -> np.ndarray:
     )
 
 
-def dynamical_spectrum(a_matrix: np.ndarray, coupling: DrainCoupling) -> DynamicalSpectrum:
+def dynamical_spectrum(
+    a_matrix: np.ndarray | DrainCoupling | None = None,
+    coupling: DrainCoupling | None = None,
+) -> DynamicalSpectrum:
     """Diagonalize the dynamical matrix, keeping dark eigenvalues exact.
 
     The dark block is diagonal by construction, so it is deflated and its
@@ -422,10 +425,15 @@ def dynamical_spectrum(a_matrix: np.ndarray, coupling: DrainCoupling) -> Dynamic
     residuals are evaluated at the anchored roots, so a root next to a
     nearly-dark pole is not rounded to ``eps_k + delta_k`` first.
 
-    ``a_matrix`` is the dense form of the same operator,
-    ``dynamical_matrix(coupling)``; the structure is read from ``coupling``
-    and ``a_matrix`` is kept so existing callers need no change.
+    Call it as ``dynamical_spectrum(coupling)``.  The two-argument form
+    ``dynamical_spectrum(a_matrix, coupling)`` is deprecated: ``a_matrix``,
+    the dense ``dynamical_matrix(coupling)``, is ignored, since the structure
+    is read from ``coupling``.
     """
+    if coupling is None:
+        coupling = a_matrix
+    if not isinstance(coupling, DrainCoupling):
+        raise TypeError("dynamical_spectrum needs a DrainCoupling")
     n = coupling.n_modes
     bright = coupling.bright
     energies = coupling.eig.energies

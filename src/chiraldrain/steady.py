@@ -12,8 +12,10 @@ closed form from one ``eigh``.  The diffusion acts on the drain site alone,
 so each equation is solved from that rank-one term by dividing by eigenvalue
 sums in that frame, then corrected once against the true drift.  A
 Bartels-Stewart (Schur) basis takes over at exceptional points, where the
-closed-form inverse fails.  Loss only shifts the eigenvalues, or the Schur
-factor's diagonal, so one system serves every loss value.
+closed-form inverse fails; that route alone imports SciPy (``schur`` and
+LAPACK ``ztrsyl``), so every other solve runs on NumPy.  Loss only shifts
+the eigenvalues, or the Schur factor's diagonal, so one system serves every
+loss value.
 
 The state is stored as the normal matrix ``<adag_m a_n>`` and the anomalous
 matrix ``<a_m a_n>``.  The quadrature convention throughout the package is
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import Lattice
 from .spectral import (
@@ -46,7 +47,6 @@ from .spectral import (
     SolverError,
     diagonalize,
     drain_couplings,
-    dynamical_matrix,
     dynamical_spectrum,
 )
 from .symmetry import SymmetryMatrix
@@ -243,6 +243,8 @@ class _MomentSolver:
     def _frame_solve(self, rhs: np.ndarray, kind: str) -> np.ndarray:
         if self.t.ndim == 1:
             return rhs / self._den[kind]
+        import scipy.linalg  # only the Schur route needs SciPy
+
         left = self.t if kind == "anomalous" else self.t.conj()
         y, scale, _ = scipy.linalg.lapack.ztrsyl(left, self.t.conj(), rhs, tranb="C")
         return y / scale
@@ -300,7 +302,7 @@ class DrainedSystem:
     @cached_property
     def spectrum(self) -> DynamicalSpectrum:
         """Secular spectrum of the dynamical matrix of :attr:`coupling`."""
-        return dynamical_spectrum(dynamical_matrix(self.coupling), self.coupling)
+        return dynamical_spectrum(self.coupling)
 
     @cached_property
     def _eigenbasis(self):
@@ -317,6 +319,8 @@ class DrainedSystem:
     @cached_property
     def _schur(self):
         """``(Z, Z^dag, T)``: the complex Schur form ``Z T Z^dag`` of the loss-free drift."""
+        import scipy.linalg  # only the Schur route needs SciPy
+
         drift = _drift_matrix(self.lattice, self.drain, self.gamma)
         t, z = scipy.linalg.schur(drift, output="complex")
         return z, z.conj().T, t

@@ -4,15 +4,20 @@
 whose steady states are pure and given by the closed form;
 ``certification_fixtures`` adds chiral systems that do carry dark modes,
 usable for symmetry certification but not for unique steady states.
-``count_calls`` records the calls of a monkeypatched function.
+``count_calls`` records the calls of a monkeypatched function;
+``fresh_python`` runs code in a new interpreter, which has imported nothing.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
 
+import chiraldrain
 from chiraldrain import (
     Lattice,
     build_bipartite_random,
@@ -71,3 +76,16 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def fresh_python(code: str, cwd=None) -> str:
+    """Run ``code`` in a new interpreter that imports this suite's chiraldrain;
+    return its stdout."""
+    src = os.path.dirname(os.path.dirname(chiraldrain.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from chiraldrain import cli
 from chiraldrain import lattice as lat
 from chiraldrain import spectral, steady
 
-from fixtures import count_calls
+from fixtures import count_calls, fresh_python
 
 
 def run(*args):
@@ -331,6 +332,37 @@ class TestSweep:
         assert run(*self.sweep_args(str(parallel)), "--jobs", "2") == 0
         assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
+    def test_serial_sweep_skips_the_lattice_dict(self, tmp_path, monkeypatch):
+        calls = [count_calls(monkeypatch, lat, name)
+                 for name in ("lattice_to_dict", "lattice_from_dict")]
+        assert run(*self.sweep_args(str(tmp_path)), "--jobs", "1") == 0
+        assert calls == [[], []]
+
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        seen = []
+        pool = cli._sweep_pool
+
+        @contextmanager
+        def probed(jobs, initargs):
+            with pool(jobs, initargs) as workers:
+                seen.extend(workers.map(os.getenv, cli._BLAS_THREAD_VARS))
+                yield workers
+
+        monkeypatch.setattr(cli, "_sweep_pool", probed)
+        assert run(*self.sweep_args(str(tmp_path / "ok")), "--jobs", "2") == 0
+        assert seen == ["1", "1", "1"]
+        assert dict(os.environ) == before
+        # a failing realization (a dark mode at loss 0) leaves it unchanged too
+        code = run(
+            "sweep", "--half-size", "1", "--drain", "1,1", "--axis", "disorder",
+            "--values", "0", "--ensemble", "2", "--jobs", "2", "--out", str(tmp_path / "dark"),
+        )
+        assert code == 3
+        assert dict(os.environ) == before
+
     def test_negative_values_rejected(self, tmp_path):
         code = run(
             "sweep", "--axis", "loss", "--values", "-0.1", "--out", str(tmp_path)
@@ -459,3 +491,22 @@ class TestJobsEnvVar:
         assert run(*args) == 0
         config = json.load(open(tmp_path / "resolved_config.json"))
         assert config["jobs"] == 2
+
+
+def test_commands_import_no_scipy_or_process_pool(tmp_path):
+    # SciPy serves the Schur route alone, and the pool modules --jobs > 1 alone
+    out = fresh_python(
+        "import sys\n"
+        "import chiraldrain\n"
+        "from chiraldrain import cli\n"
+        "lean = lambda: 'loaded=%s' % sorted(m for m in sys.modules if m.split('.')[0]\n"
+        "                                    in ('scipy', 'multiprocessing', 'concurrent'))\n"
+        "print(lean())\n"
+        "common = ['--half-size', '2', '--loss', '1e-3']\n"
+        "for argv in (['steady', '--reference-site', '1,1'], ['spectrum'], ['check'],\n"
+        "             ['sweep', '--jobs', '1']):\n"
+        "    assert cli.main(argv + common + ['--out', argv[0]]) == 0, argv\n"
+        "    print(lean())\n",
+        cwd=tmp_path,
+    )
+    assert [line for line in out.splitlines() if line.startswith("loaded=")] == ["loaded=[]"] * 5

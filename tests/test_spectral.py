@@ -245,6 +245,17 @@ class TestDynamicalSpectrum:
         # one part in a million off every root is far above check's 1e-8 gate
         assert np.nanmin(sp.dynamical_spectrum(a, cpl).residuals) > 1e-8
 
+    @pytest.mark.parametrize("case", certification_fixtures()[-3:], ids=lambda c: c[0])
+    def test_dense_matrix_argument_is_ignored(self, case):
+        _, lattice, drain = case
+        cpl = coupled(lattice, drain, 1.7)
+        legacy = sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+        for spec in (sp.dynamical_spectrum(cpl), sp.dynamical_spectrum(coupling=cpl)):
+            for field in ("eigenvalues", "is_dark", "residuals", "modes", "noise_weights"):
+                assert np.array_equal(getattr(spec, field), getattr(legacy, field), equal_nan=True)
+        with pytest.raises(TypeError, match="DrainCoupling"):
+            sp.dynamical_spectrum(sp.dynamical_matrix(cpl))
+
     def test_unconverged_roots_raise(self, monkeypatch):
         monkeypatch.setattr(sp, "SECULAR_MAX_SWEEPS", 1)
         hof = lat.build_hofstadter(4, 1.0, np.pi / 2)

@@ -10,7 +10,7 @@ from chiraldrain import lattice as lat
 from chiraldrain import spectral as sp
 from chiraldrain import steady
 
-from fixtures import chiral_fixtures, count_calls, inversion_chain
+from fixtures import chiral_fixtures, count_calls, fresh_python, inversion_chain
 
 CORPUS = chiral_fixtures()
 CORPUS_IDS = [c[0] for c in CORPUS]
@@ -346,6 +346,39 @@ class TestDrainedSystem:
         assert system._solver(loss).t.ndim == 2  # the triangular Schur factor
         normal, anomalous = sylvester_reference(lattice, 0, gamma, noise, loss)
         assert relative_gap(state, normal, anomalous) <= 1e-12
+
+    def test_spectrum_builds_no_dense_dynamical_matrix(self, monkeypatch):
+        dense = []
+        for module in (sp, steady):  # a name imported into steady escapes a patch of sp
+            monkeypatch.setattr(module, "dynamical_matrix", dense.append, raising=False)
+        hof = lat.build_hofstadter(2, 1.0, np.pi / 2)
+        system = steady.DrainedSystem(hof, hof.site_index((2, 2)), 3.0)
+        system.steady_state(steady.SqueezedNoise(0.5), site_loss=1e-3)
+        assert dense == []
+
+    def test_schur_route_loads_scipy_on_first_use(self):
+        # this process imported SciPy long ago; a new one starts without it
+        out = fresh_python(
+            "import sys\n"
+            "from chiraldrain import lattice as lat, steady\n"
+            "noise = steady.SqueezedNoise(1.0, 0.3)\n"
+            "steady.DrainedSystem(lat.build_chain(2), 0, 3.0).steady_state(noise, 0.01)\n"
+            "spectral_only = 'scipy' not in sys.modules\n"
+            "system = steady.DrainedSystem(lat.build_chain(2), 0, 4.0)\n"
+            "state = system.steady_state(noise, site_loss=0.01)\n"
+            "import numpy as np, scipy.linalg\n"
+            "d = steady._drift_matrix(system.lattice, 0, 4.0, 0.01)\n"
+            "q = np.zeros((2, 2), complex)\n"
+            "q[0, 0] = 4.0\n"
+            "m = scipy.linalg.solve_sylvester(d, d.T, -noise.anomalous * q)\n"
+            "n = scipy.linalg.solve_sylvester(d.conj(), d.T, -noise.nbar * q)\n"
+            "gap = max(abs(state.anomalous - m).max() / abs(m).max(),\n"
+            "          abs(state.normal - n).max() / abs(n).max())\n"
+            "print(spectral_only, system._solver(0.01).t.ndim, float(gap))\n"
+        )
+        spectral_only, t_ndim, gap = out.split()
+        assert spectral_only == "True" and t_ndim == "2"
+        assert float(gap) <= 1e-12
 
     def test_schur_form_is_factored_once_per_system(self, monkeypatch):
         schur = count_calls(monkeypatch, scipy.linalg, "schur")
