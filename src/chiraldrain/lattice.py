@@ -37,6 +37,8 @@ __all__ = [
 
 # Builders guarantee hermiticity to this tolerance, relative to max(1, |H|).
 HERMITICITY_RTOL = 1e-12
+# validate() counts an off-diagonal entry as a bond above this, relative to max(1, |H|).
+BOND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -284,21 +286,13 @@ class LatticeDiagnostics:
     connected: bool
     bandwidth: int
 
-    def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "hermiticity_defect": self.hermiticity_defect,
-            "connected": self.connected,
-            "bandwidth": self.bandwidth,
-        }
 
-
-def validate(lattice: Lattice | np.ndarray, hop_tol: float = 1e-12) -> LatticeDiagnostics:
+def validate(lattice: Lattice | np.ndarray) -> LatticeDiagnostics:
     """Diagnose a lattice matrix without modifying it.
 
     Reports the max-norm hermiticity defect, whether the hopping graph is
-    connected (edges are off-diagonal entries above ``hop_tol`` relative to
-    the matrix scale), and the matrix bandwidth.  Accepts either a
+    connected (edges are off-diagonal entries above ``BOND_RTOL`` relative
+    to the matrix scale), and the matrix bandwidth.  Accepts either a
     :class:`Lattice` or a raw square matrix, so that matrices too corrupted
     to construct a lattice can still be diagnosed.
     """
@@ -306,7 +300,7 @@ def validate(lattice: Lattice | np.ndarray, hop_tol: float = 1e-12) -> LatticeDi
     n = h.shape[0]
     defect = float(np.abs(h - h.conj().T).max()) if n else 0.0
     scale = max(1.0, float(np.abs(h).max())) if n else 1.0
-    adj = np.abs(h) > hop_tol * scale
+    adj = np.abs(h) > BOND_RTOL * scale
     np.fill_diagonal(adj, False)
     seen = np.zeros(n, dtype=bool)
     if n:

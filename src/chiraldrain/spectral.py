@@ -11,7 +11,8 @@ of that matrix are checked against the scalar consistency condition
 which every bright eigenvalue must satisfy.
 
 One drain site makes the dynamical matrix diagonal plus rank one,
-``diag(eps) - (i/2) s s^dag``, so no dense factorization is needed: the
+``diag(eps) - (i/2) s s^T`` with ``s = sqrt(Gbar)`` (the drain amplitudes,
+real positive in the working gauge), so no dense factorization is needed: the
 bright eigenvalues are the roots of the consistency condition itself (its
 secular equation), found together by Aberth-Ehrlich iteration with each
 root stored as its offset ``delta_k = lambda_k - eps_k`` from its own pole,
@@ -46,8 +47,12 @@ __all__ = [
 # Modes closer in energy than this (relative to the spectral radius) are
 # treated as one degenerate subspace.
 DEGENERACY_RTOL = 1e-9
-# A mode is dark when its drain rate falls below dark_tol * Gamma / N.
+# A mode is dark when its drain rate falls below DARK_TOL * Gamma / N.
 DARK_TOL = 1e-10
+# Chiral pairing holds when max|eps_i + eps_partner(i)| is at most
+# PAIRING_TOL * max(1, max|eps|) and partners' drain amplitudes agree to
+# PAIRING_TOL; energies below the same scale count as zero modes.
+PAIRING_TOL = 1e-8
 # A secular root is converged once an Aberth step moves it by at most
 # SECULAR_RTOL times its distance to its pole; SolverError past the sweep cap.
 SECULAR_RTOL = 1e-10
@@ -88,22 +93,19 @@ class DrainCoupling:
     ``eig`` is the working eigenbasis: within every degenerate subspace the
     basis has been rotated so one mode carries the whole drain weight and
     the rest are exactly dark, and every bright mode's global phase is fixed
-    to make its drain amplitude real positive.  ``rates`` holds
-    ``Gbar_i = |psi_i[n0]|^2 * Gamma`` with dark entries zeroed; ``phases``
-    holds the drain-amplitude arguments in (-pi, pi] (zero for dark modes,
-    where the phase is not defined).
+    to make its drain amplitude real positive, so ``sqrt(rates)`` is the
+    drain amplitude itself and no phase is carried.  ``rates`` holds
+    ``Gbar_i = |psi_i[n0]|^2 * Gamma`` with dark entries zeroed.
     """
 
     eig: EigenSystem
     drain: int
     gamma: float
     rates: np.ndarray
-    phases: np.ndarray
     dark: tuple[int, ...]
 
     def __post_init__(self):
         self.rates.setflags(write=False)
-        self.phases.setflags(write=False)
 
     @property
     def n_modes(self) -> int:
@@ -124,17 +126,24 @@ class ChiralPairing:
     the defects measure how badly the spectrum violates the pairing:
     ``energy_defect = max |eps_i + eps_partner|`` and ``amplitude_defect``
     the worst mismatch of drain-amplitude magnitudes within a pair.
+    ``energy_tol`` is ``PAIRING_TOL * max(1, max|eps|)``.
     """
 
     partner: np.ndarray
     energy_defect: float
     amplitude_defect: float
+    energy_tol: float
 
     def __post_init__(self):
         self.partner.setflags(write=False)
         p = self.partner
         if not np.array_equal(p[p], np.arange(p.size)):
             raise ValueError("pairing is not an involution")
+
+    @property
+    def holds(self) -> bool:
+        """Both defects within the pairing rule (see ``PAIRING_TOL``)."""
+        return self.energy_defect <= self.energy_tol and self.amplitude_defect <= PAIRING_TOL
 
 
 def degenerate_groups(energies: np.ndarray, threshold: float) -> list[list[int]]:
@@ -186,23 +195,16 @@ def _rotate_degenerate(modes: np.ndarray, drain: int, groups) -> np.ndarray:
     return out
 
 
-def drain_couplings(
-    eig: EigenSystem,
-    drain: int,
-    gamma: float,
-    dark_tol: float = DARK_TOL,
-) -> DrainCoupling:
+def drain_couplings(eig: EigenSystem, drain: int, gamma: float) -> DrainCoupling:
     """Couple an eigenbasis to the drain and classify dark modes.
 
-    Mode ``i`` is flagged dark when ``Gbar_i < dark_tol * gamma / N``.
+    Mode ``i`` is flagged dark when ``Gbar_i < DARK_TOL * gamma / N``.
     Degenerate subspaces are first rotated so that at most one mode per
     subspace is bright; the completeness sum ``sum_i Gbar_i = gamma`` is
     preserved by that rotation.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    if dark_tol < 0:
-        raise ValueError("dark_tol must be >= 0")
     n = eig.n_modes
     if not 0 <= drain < n:
         raise IndexError(f"drain index {drain} out of range 0..{n - 1}")
@@ -210,7 +212,7 @@ def drain_couplings(
     modes = _rotate_degenerate(eig.modes, drain, eig.degenerate)
     amps = modes[drain, :].copy()
     raw = np.abs(amps) ** 2 * gamma
-    dark_mask = raw < dark_tol * gamma / max(n, 1)
+    dark_mask = raw < DARK_TOL * gamma / max(n, 1)
 
     # fix global phases: bright modes real positive at the drain, dark modes
     # real positive at their first significant component
@@ -226,7 +228,6 @@ def drain_couplings(
     amps = modes[drain, :]
 
     rates = np.where(dark_mask, 0.0, np.abs(amps) ** 2 * gamma)
-    phases = np.where(dark_mask, 0.0, np.angle(amps))
     h_eff = (modes * eig.energies) @ modes.conj().T
     drift = float(np.abs((eig.modes * eig.energies) @ eig.modes.conj().T - h_eff).max())
     rotated = EigenSystem(
@@ -240,23 +241,22 @@ def drain_couplings(
         drain=drain,
         gamma=gamma,
         rates=rates,
-        phases=phases,
         dark=tuple(int(i) for i in np.nonzero(dark_mask)[0]),
     )
 
 
-def chiral_pairing(coupling: DrainCoupling, tol: float | None = None) -> ChiralPairing:
+def chiral_pairing(coupling: DrainCoupling) -> ChiralPairing:
     """Greedily pair modes of opposite energy and report the defects.
 
-    Modes with ``|eps| < tol`` are self-paired; the rest are matched from
-    the spectrum edges inward, breaking energy ties so that equally-coupled
-    partners line up.  An unpairable leftover is self-paired and shows up as
-    an energy defect of ``2|eps|`` rather than an exception.
+    Modes with ``|eps|`` below the pairing's ``energy_tol`` are self-paired;
+    the rest are matched from the spectrum edges inward, breaking energy ties
+    so that equally-coupled partners line up.  An unpairable leftover is
+    self-paired and shows up as an energy defect of ``2|eps|`` rather than an
+    exception.
     """
     energies = coupling.eig.energies
     n = energies.size
-    if tol is None:
-        tol = 1e-8 * max(1.0, float(np.abs(energies).max()))
+    tol = PAIRING_TOL * max(1.0, float(np.abs(energies).max()))
     # Order degenerate clusters so the inward sweep pairs bright with bright
     # and dark with dark: bright first on the negative side, bright last on
     # the positive side.
@@ -298,18 +298,19 @@ def chiral_pairing(coupling: DrainCoupling, tol: float | None = None) -> ChiralP
         partner=partner,
         energy_defect=float(energy_defect),
         amplitude_defect=amplitude_defect,
+        energy_tol=tol,
     )
 
 
 def dynamical_matrix(coupling: DrainCoupling) -> np.ndarray:
     """Generator of the first-moment dynamics in the eigenmode basis.
 
-    ``A[i, j] = delta_ij eps_i - (i/2) exp(i(phi_j - phi_i)) sqrt(Gbar_i Gbar_j)``;
-    dark modes have zero rate, so their rows and columns decouple with
-    ``A[i, i] = eps_i``.
+    ``A[i, j] = delta_ij eps_i - (i/2) sqrt(Gbar_i Gbar_j)``, complex
+    symmetric because the drain amplitudes are real positive; dark modes
+    have zero rate, so their rows and columns decouple with ``A[i, i] = eps_i``.
     """
-    s = np.exp(-1j * coupling.phases) * np.sqrt(coupling.rates)
-    return np.diag(coupling.eig.energies.astype(complex)) - 0.5j * np.outer(s, s.conj())
+    s = np.sqrt(coupling.rates)
+    return np.diag(coupling.eig.energies.astype(complex)) - 0.5j * np.outer(s, s)
 
 
 @dataclass(frozen=True)
@@ -322,18 +323,16 @@ class DynamicalSpectrum:
     entries, where the condition does not apply), evaluated at the root's
     offset from its pole rather than at the rounded ``lambda``.
     ``modes[:, k]`` is the right eigenvector, of unit 2-norm with its
-    largest-modulus component real positive, and ``noise_weights[k]`` its
-    coupling to the drain noise, ``g = sum_j u_j exp(-i phi_j) sqrt(Gbar_j)``.
+    largest-modulus component real positive.
     """
 
     eigenvalues: np.ndarray
     is_dark: np.ndarray
     residuals: np.ndarray
     modes: np.ndarray
-    noise_weights: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.eigenvalues, self.is_dark, self.residuals, self.modes, self.noise_weights):
+        for arr in (self.eigenvalues, self.is_dark, self.residuals, self.modes):
             arr.setflags(write=False)
 
     @property
@@ -416,7 +415,7 @@ def dynamical_spectrum(
 
     The dark block is diagonal by construction, so it is deflated and its
     eigenvalues reported as the bare mode energies.  The bright block is
-    ``diag(eps) - (i/2) s s^dag``, diagonal plus rank one: its eigenvalues are
+    ``diag(eps) - (i/2) s s^T``, diagonal plus rank one: its eigenvalues are
     the roots of the consistency condition (its secular equation), found by
     ``_secular_roots`` as offsets from their own poles, and its right
     eigenvectors have the closed form ``u_k,j ~ s_j / (eps_j - lambda_k)``,
@@ -448,7 +447,7 @@ def dynamical_spectrum(
         modes[i, n - dark_idx.size + pos] = 1.0
         is_dark[n - dark_idx.size + pos] = True
 
-    s = np.exp(-1j * coupling.phases) * np.sqrt(coupling.rates)
+    s = np.sqrt(coupling.rates)
     nb = int(bright.sum())
     if nb:
         half_rates = 0.5 * coupling.rates[bright]
@@ -467,13 +466,8 @@ def dynamical_spectrum(
         eigenvalues[:nb] = vals[order]
         modes[np.ix_(bright, range(nb))] = vecs.T
 
-    noise_weights = modes.T @ s
     return DynamicalSpectrum(
-        eigenvalues=eigenvalues,
-        is_dark=is_dark,
-        residuals=residuals,
-        modes=modes,
-        noise_weights=noise_weights,
+        eigenvalues=eigenvalues, is_dark=is_dark, residuals=residuals, modes=modes
     )
 
 

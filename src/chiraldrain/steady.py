@@ -41,6 +41,7 @@ import numpy as np
 
 from .lattice import Lattice
 from .spectral import (
+    PAIRING_TOL,
     ChiralPairing,
     DrainCoupling,
     DynamicalSpectrum,
@@ -90,7 +91,7 @@ class DarkModeError(ValueError):
 
 
 class PairingError(ValueError):
-    """The chiral pairing defects exceed the caller's tolerance."""
+    """The chiral pairing defects exceed the pairing rule (``ChiralPairing.holds``)."""
 
 
 @dataclass(frozen=True)
@@ -278,15 +279,16 @@ class DrainedSystem:
 
     Built on first use from one ``eigh`` of the lattice: the drain
     :attr:`coupling` and the secular :attr:`spectrum` of ``A = diag(eps) -
-    (i/2) s s^dag``.  ``A`` is complex symmetric (bright drain phases are
-    zero), so its eigenvectors ``U`` scaled to ``u_k^T u_k = 1`` give the
-    drift eigenbasis ``V = Psi U``, its inverse ``U^T Psi^dag`` and, at loss
-    ``kappa``, eigenvalues ``mu = -i lambda - kappa/2``.  Each moment equation
-    is solved from its rank-one diffusion in that basis, ``M = V [-Gamma anom
-    g_k g_l / (mu_k + mu_l)] V^T`` with ``g = V^-1 e_drain`` (dark modes have
-    ``g_k = 0``), then corrected once against the true drift.  When
-    ``max|V^-1 V - I|`` exceeds ``_INVERSE_DEFECT_LIMIT`` the same steps run
-    in the Schur basis of the loss-free drift, factored once per system.
+    (i/2) s s^T``.  ``A`` is complex symmetric (``s``, the drain amplitudes,
+    is real in the coupling's gauge), so its eigenvectors ``U`` scaled to
+    ``u_k^T u_k = 1`` give the drift eigenbasis ``V = Psi U``, its inverse
+    ``U^T Psi^dag`` and, at loss ``kappa``, eigenvalues ``mu = -i lambda -
+    kappa/2``.  Each moment equation is solved from its rank-one diffusion in
+    that basis, ``M = V [-Gamma anom g_k g_l / (mu_k + mu_l)] V^T`` with
+    ``g = V^-1 e_drain`` (dark modes have ``g_k = 0``), then corrected once
+    against the true drift.  When ``max|V^-1 V - I|`` exceeds
+    ``_INVERSE_DEFECT_LIMIT`` the same steps run in the Schur basis of the
+    loss-free drift, factored once per system.
     """
 
     def __init__(self, lattice: Lattice, drain: int, gamma: float):
@@ -387,51 +389,38 @@ def steady_state(lattice: Lattice, spec: DrainSpec) -> CovarianceState:
     )
 
 
-def _require_valid_pairing(pairing: ChiralPairing, coupling: DrainCoupling, tol: float):
-    scale = max(1.0, float(np.abs(coupling.eig.energies).max()))
-    if pairing.energy_defect > tol * scale or pairing.amplitude_defect > tol:
-        raise PairingError(
-            "chiral pairing defects too large: "
-            f"energy {pairing.energy_defect:.3e} (tol {tol * scale:.3e}), "
-            f"amplitude {pairing.amplitude_defect:.3e} (tol {tol:.3e})"
-        )
-
-
-def extract_sigma(
-    coupling: DrainCoupling,
-    pairing: ChiralPairing,
-    defect_tol: float = 1e-8,
-) -> SymmetryMatrix:
+def extract_sigma(coupling: DrainCoupling, pairing: ChiralPairing) -> SymmetryMatrix:
     """Pairing matrix of the chiral steady state, built from the eigenmodes.
 
-    ``sigma[m, n] = sum_j exp(-i(phi_j + phi_partner(j))) psi_j[n] psi_partner(j)[m]``.
-    For a valid chiral system this matrix is unitary, symmetric, and has the
-    drain column of the identity.  Refuses pairings whose defects exceed
-    ``defect_tol``.  Dark modes are allowed as long as the pairing maps them
-    onto each other (their phase convention drops out of every certified
-    property), but the matrix is then basis-dependent within the degenerate
-    subspaces.
+    ``sigma[m, n] = sum_j psi_j[n] psi_partner(j)[m]``, the eigenmodes taken
+    in the coupling's gauge, where every bright drain amplitude is real
+    positive and so carries no phase.  For a valid chiral system this matrix
+    is unitary, symmetric, and has the drain column of the identity.  Raises
+    :class:`PairingError` unless ``pairing.holds``.  Dark modes are allowed as
+    long as the pairing maps them onto each other (their phase convention
+    drops out of every certified property), but the matrix is then
+    basis-dependent within the degenerate subspaces.
     """
-    _require_valid_pairing(pairing, coupling, defect_tol)
-    p = pairing.partner
-    chi = coupling.phases + coupling.phases[p]
+    if not pairing.holds:
+        raise PairingError(
+            "chiral pairing defects too large: "
+            f"energy {pairing.energy_defect:.3e} (tol {pairing.energy_tol:.3e}), "
+            f"amplitude {pairing.amplitude_defect:.3e} (tol {PAIRING_TOL:.3e})"
+        )
     modes = coupling.eig.modes
-    sigma = (modes[:, p] * np.exp(-1j * chi)[None, :]) @ modes.T
+    sigma = modes[:, pairing.partner] @ modes.T
     return SymmetryMatrix(matrix=sigma, provenance="from_eigenmodes", drain=coupling.drain)
 
 
 def analytic_chiral_state(
-    coupling: DrainCoupling,
-    pairing: ChiralPairing,
-    noise: SqueezedNoise,
-    defect_tol: float = 1e-8,
+    coupling: DrainCoupling, pairing: ChiralPairing, noise: SqueezedNoise
 ) -> CovarianceState:
     """Closed-form steady state of a chiral, dark-mode-free lattice.
 
     Every site holds ``nbar`` photons and the anomalous correlations are
     ``anomalous * sigma`` with ``sigma`` from :func:`extract_sigma`.  Refuses
-    (with the defect report) when the pairing defects exceed ``defect_tol``,
-    or when dark modes make the steady state non-unique.
+    (with the defect report) when the pairing does not hold, or when dark
+    modes make the steady state non-unique.
     """
     if coupling.dark:
         raise DarkModeError(
@@ -439,7 +428,7 @@ def analytic_chiral_state(
             f"modes {list(coupling.dark)} are dark: the chiral closed form "
             "only describes the unique dark-mode-free steady state",
         )
-    sigma = extract_sigma(coupling, pairing, defect_tol)
+    sigma = extract_sigma(coupling, pairing)
     n_sites = coupling.n_modes
     return CovarianceState(
         normal=noise.nbar * np.eye(n_sites, dtype=complex),
@@ -497,7 +486,8 @@ def beta_occupations(
 ) -> BetaModeReport:
     """Transform a state into the Bogoliubov basis of the chiral pairing.
 
-    ``beta_i = cosh r b_i - exp(i(phi - phi_i - phi_partner(i))) sinh r bdag_partner(i)``;
+    ``beta_i = cosh r b_i - exp(i phi) sinh r bdag_partner(i)``, with ``b``
+    the eigenmodes in the coupling's gauge (real positive drain amplitudes);
     the report carries the full ``<betadag beta>`` and ``<beta beta>``
     matrices, whose maxima measure the distance from the joint beta vacuum.
     """
@@ -506,7 +496,7 @@ def beta_occupations(
     nb = modes.T @ state.normal @ modes.conj()
     mb = modes.conj().T @ state.anomalous @ modes.conj()
     p = pairing.partner
-    chi = np.exp(1j * (noise.phi - coupling.phases - coupling.phases[p]))
+    chi = np.exp(1j * noise.phi)
     ch, sh = np.cosh(noise.r), np.sinh(noise.r)
     eye = np.eye(coupling.n_modes)
 
@@ -516,17 +506,16 @@ def beta_occupations(
 
     beta_normal = (
         ch**2 * nb
-        - ch * sh * chi[None, :] * mbc[p, :].T
-        - ch * sh * chi.conj()[:, None] * mb_p_rows
-        + sh**2 * (chi[None, :] * chi.conj()[:, None]) * (eye + nb_pp.T)
+        - ch * sh * chi * mbc[p, :].T
+        - ch * sh * np.conj(chi) * mb_p_rows
+        + sh**2 * (eye + nb_pp.T)
     )
     # delta_{i, partner(j)}, symmetric because the pairing is an involution
     delta_ip = (p[:, None] == np.arange(coupling.n_modes)[None, :]).astype(float)
     beta_anomalous = (
         ch**2 * mb
-        - ch * sh * chi[None, :] * (delta_ip + nb[p, :].T)
-        - ch * sh * chi[:, None] * nb[p, :]
-        + sh**2 * (chi[:, None] * chi[None, :]) * mbc[np.ix_(p, p)].T
+        - ch * sh * chi * (delta_ip + nb[p, :].T + nb[p, :])
+        + sh**2 * chi**2 * mbc[np.ix_(p, p)].T
     )
     return BetaModeReport(normal=beta_normal, anomalous=beta_anomalous)
 

@@ -177,10 +177,7 @@ class SymmetryReport:
 
 
 def check_symmetry(
-    sigma: SymmetryMatrix,
-    lattice: Lattice,
-    drain: int | None = None,
-    tol: float = PASS_RTOL,
+    sigma: SymmetryMatrix, lattice: Lattice, drain: int | None = None
 ) -> SymmetryReport:
     """Certify a candidate sigma against a lattice matrix.
 
@@ -188,7 +185,8 @@ def check_symmetry(
     symmetry of sigma itself, and (when ``drain`` is given) the deviation of
     the drain column from the unit vector.  A PASS needs unitarity,
     symmetry, at least one relation, and the drain constraint, all below
-    ``tol * max(1, |H|)`` (plain ``tol`` for the sigma-only checks).
+    ``PASS_RTOL * max(1, |H|)`` (plain ``PASS_RTOL`` for the sigma-only
+    checks), which the report records as ``tolerance``.
     """
     h = lattice.hamiltonian
     if sigma.n_sites != lattice.n_sites:
@@ -209,14 +207,14 @@ def check_symmetry(
         e = np.zeros(lattice.n_sites)
         e[drain] = 1.0
         drain_res = float(np.abs(m[:, drain] - e).max())
-    ph_ok = ph <= tol * scale
-    chiral_ok = chiral <= tol * scale
+    ph_ok = ph <= PASS_RTOL * scale
+    chiral_ok = chiral <= PASS_RTOL * scale
     relation = "particle_hole" if ph_ok else ("chiral" if chiral_ok else None)
     passed = (
-        unit <= tol
-        and symm <= tol
+        unit <= PASS_RTOL
+        and symm <= PASS_RTOL
         and relation is not None
-        and (drain_res is None or drain_res <= tol)
+        and (drain_res is None or drain_res <= PASS_RTOL)
     )
     return SymmetryReport(
         provenance=sigma.provenance,
@@ -225,7 +223,7 @@ def check_symmetry(
         unitarity_residual=unit,
         symmetry_residual=symm,
         drain_residual=drain_res,
-        tolerance=tol,
+        tolerance=PASS_RTOL,
         passed=passed,
         relation=relation,
     )

@@ -136,6 +136,27 @@ class TestSteady:
         assert rows[0] == ["site", "abs_anomalous_scaled"]
         assert len(rows) == 82
 
+    def test_small_flux_lattice_defaults_reference_site_onto_grid(self, tmp_path):
+        assert run("steady", "--half-size", "2", "--out", str(tmp_path)) == 0
+        assert json.load(open(tmp_path / "resolved_config.json"))["reference_site"] == "2,1"
+        assert len(list(csv.reader(open(tmp_path / "slice.csv")))) == 26
+
+    def test_bad_reference_site_exits_2_before_solving(self, tmp_path, monkeypatch):
+        solves = count_calls(monkeypatch, steady.DrainedSystem, "steady_state")
+        out = tmp_path / "out"
+        code = run("steady", "--half-size", "2", "--reference-site", "9,9", "--out", str(out))
+        assert code == 2
+        assert solves == []
+        assert not (out / "state.json").exists()
+
+    def test_disorder_spares_the_default_drain(self, tmp_path):
+        args = ("steady", "--half-size", "2", "--disorder-variance", "0.1", "--seed", "1",
+                "--loss", "1e-2")
+        assert run(*args, "--out", str(tmp_path / "default")) == 0
+        assert run(*args, "--drain", "2,2", "--out", str(tmp_path / "given")) == 0
+        default, given = (tmp_path / out / "state.json" for out in ("default", "given"))
+        assert default.read_bytes() == given.read_bytes()
+
     def test_one_dense_factorization(self, tmp_path, monkeypatch):
         # the spectrum comes from its secular equation and the drift eigenbasis
         # from the spectrum in closed form: eigh(H) is the only factorization,
@@ -477,6 +498,35 @@ class TestConfigFile:
         config = tmp_path / "run.json"
         config.write_text("{not json")
         assert run("build", "--config", str(config), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("steady", "--half-size", "2", "--disorder-variance", "0.1", "--seed", "1",
+             "--loss", "1e-2"),
+            ("spectrum", "--half-size", "2", "--format", "csv"),
+            ("check", "--half-size", "2"),
+            ("sweep", "--half-size", "1", "--drain", "1,1", "--values", "1e-2,1e-1"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_resolved_config_reproduces_every_output(self, tmp_path, args):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(*args, "--out", str(first)) == 0
+        config = str(first / "resolved_config.json")
+        assert run(args[0], "--config", config, "--out", str(second)) == 0
+        names = sorted(os.listdir(first))
+        assert names == sorted(os.listdir(second))
+        for name in names:
+            old, new = (first / name).read_bytes(), (second / name).read_bytes()
+            if name == "resolved_config.json":
+                old, new = (dict(json.loads(text), out=None) for text in (old, new))
+            assert old == new, name
+
+    def test_config_of_another_command_exits_2(self, tmp_path):
+        assert run("build", "--model", "chain", "--sites", "3", "--out", str(tmp_path)) == 0
+        config = str(tmp_path / "resolved_config.json")
+        assert run("steady", "--config", config, "--out", str(tmp_path / "s")) == 2
 
 
 class TestJobsEnvVar:

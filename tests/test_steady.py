@@ -10,7 +10,13 @@ from chiraldrain import lattice as lat
 from chiraldrain import spectral as sp
 from chiraldrain import steady
 
-from fixtures import chiral_fixtures, count_calls, fresh_python, inversion_chain
+from fixtures import (
+    certification_fixtures,
+    chiral_fixtures,
+    count_calls,
+    fresh_python,
+    inversion_chain,
+)
 
 CORPUS = chiral_fixtures()
 CORPUS_IDS = [c[0] for c in CORPUS]
@@ -480,6 +486,43 @@ class TestExtractSigma:
         cpl, pairing = coupling_and_pairing(lattice, 0)
         with pytest.raises(steady.PairingError):
             steady.extract_sigma(cpl, pairing)
+
+
+def phase_carrying_reference(cpl, pairing):
+    """``sigma`` and the bright dynamical modes from the formulas that carry
+    the drain phases ``phi_j = arg psi_j[drain]`` (zero for dark modes):
+    ``sigma = sum_j exp(-i(phi_j + phi_partner(j))) psi_partner(j) psi_j^T`` and
+    ``u_k,j ~ s_j / (eps_j - lambda_k)`` with ``s = exp(-i phi) sqrt(Gbar)``."""
+    modes, bright, p = cpl.eig.modes, cpl.bright, pairing.partner
+    phi = np.where(bright, np.angle(modes[cpl.drain]), 0.0)
+    sigma = (modes[:, p] * np.exp(-1j * (phi + phi[p]))) @ modes.T
+    s = (np.exp(-1j * phi) * np.sqrt(cpl.rates))[bright]
+    energies = cpl.eig.energies[bright]
+    delta = sp._secular_roots(energies, 0.5 * cpl.rates[bright])
+    order = np.argsort((energies + delta).real, kind="stable")
+    vecs = s / sp._anchored_gaps(energies, delta, order)
+    peak = (np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1))
+    vecs *= (vecs[peak].conj() / np.abs(vecs[peak]) / np.linalg.norm(vecs, axis=1))[:, None]
+    return sigma, vecs.T
+
+
+def _flux_625():
+    hof = lat.build_hofstadter(12, 1.0, np.pi / 2)
+    return [(f"hofstadter-625-{c}", hof, hof.site_index(c)) for c in [(2, 2), (0, 0)]]
+
+
+class TestRealGauge:
+    @pytest.mark.parametrize(
+        "case", list(certification_fixtures()) + _flux_625(), ids=lambda c: c[0]
+    )
+    def test_matches_phase_carrying_formulas(self, case):
+        _, lattice, drain = case
+        cpl, pairing = coupling_and_pairing(lattice, drain, 3.0)
+        sigma, vecs = phase_carrying_reference(cpl, pairing)
+        assert np.abs(steady.extract_sigma(cpl, pairing).matrix - sigma).max() <= 1e-14
+        nb = vecs.shape[1]
+        modes = sp.dynamical_spectrum(cpl).modes
+        assert np.abs(modes[cpl.bright, :nb] - vecs).max() <= 1e-14
 
 
 class TestAnalyticChiralState:
