@@ -1,10 +1,12 @@
 """Eigenmode analysis of a drained lattice.
 
-Diagonalizes the lattice matrix, characterizes how each eigenmode couples to
-the drain site (including the dark modes that decouple entirely), pairs
-modes of opposite energy, and builds the non-Hermitian matrix that generates
-the first-moment dynamics.  The complex eigenvalues ``lambda = nu - i*gamma/2``
-of that matrix are checked against the scalar consistency condition
+Diagonalizes the lattice matrix (from the SVD of its hopping block when no
+bond or on-site term lies inside either sublattice), characterizes how each
+eigenmode couples to the drain site (including the dark modes that decouple
+entirely), pairs modes of opposite energy, and builds the non-Hermitian
+matrix that generates the first-moment dynamics.  The complex eigenvalues
+``lambda = nu - i*gamma/2`` of that matrix are checked against the scalar
+consistency condition
 
     sum_j (Gbar_j / 2) / (gamma/2 + i*(nu - eps_j)) = 1,
 
@@ -57,6 +59,10 @@ PAIRING_TOL = 1e-8
 # SECULAR_RTOL times its distance to its pole; SolverError past the sweep cap.
 SECULAR_RTOL = 1e-10
 SECULAR_MAX_SWEEPS = 100
+# A dynamical mode's phase is fixed on its first component whose modulus is
+# within PEAK_RTOL of the largest: a +-symmetric spectrum makes exact ties,
+# which a plain argmax would break by rounding.
+PEAK_RTOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -167,11 +173,63 @@ def _eigensystem(h: np.ndarray, energies: np.ndarray, modes: np.ndarray) -> Eige
     return EigenSystem(energies=energies, modes=modes, residual=residual, degenerate=flagged)
 
 
-def diagonalize(lattice: Lattice) -> EigenSystem:
-    """Full eigendecomposition of the lattice matrix, energies ascending."""
+def _sublattice_split(lattice: Lattice) -> np.ndarray | None:
+    """Mask of the sublattice-0 sites when ``H`` has no bond inside either
+    sublattice (both diagonal blocks exactly zero), else ``None``."""
+    labels = lattice.sublattice_labels
+    if labels is None:
+        return None
+    a = labels == 0
+    if a.all() or not a.any():
+        return None
     h = lattice.hamiltonian
+    if h[np.ix_(a, a)].any() or h[np.ix_(~a, ~a)].any():
+        return None
+    return a
+
+
+def _chiral_modes(h: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of ``H = [[0, C], [C^dag, 0]]`` from the SVD ``C = U S V^dag``.
+
+    Each singular triple gives energies ``-s`` and ``+s`` with modes
+    ``(u, -v)/sqrt(2)`` and ``(u, v)/sqrt(2)``; the ``|N_A - N_B|`` singular
+    vectors of the larger side that ``C`` does not reach are zero modes.
+    Singular values come in descending order, so ``[-s, 0..., s reversed]``
+    is already ascending.
+    """
+    b = ~a
+    u, s, vh = np.linalg.svd(h[np.ix_(a, b)])
+    v = vh.conj().T
+    n, k = h.shape[0], s.size
+    energies = np.concatenate([-s, np.zeros(n - 2 * k), s[::-1]])
+    neg = np.arange(k)
+    pos, zero = n - 1 - neg, np.arange(k, n - k)
+    u_half, v_half = np.sqrt(0.5) * u[:, :k], np.sqrt(0.5) * v[:, :k]
+    modes = np.zeros(h.shape, dtype=complex)
+    modes[np.ix_(a, neg)] = modes[np.ix_(a, pos)] = u_half
+    modes[np.ix_(b, pos)] = v_half
+    modes[np.ix_(b, neg)] = -v_half
+    if u.shape[1] > k:  # C^dag annihilates the rest of U
+        modes[np.ix_(a, zero)] = u[:, k:]
+    else:  # C annihilates the rest of V (none when N_A = N_B)
+        modes[np.ix_(b, zero)] = v[:, k:]
+    return energies, modes
+
+
+def diagonalize(lattice: Lattice) -> EigenSystem:
+    """Full eigendecomposition of the lattice matrix, energies ascending.
+
+    A lattice whose sublattice labels split ``H`` into ``[[0, C], [C^dag, 0]]``
+    (no bond inside either sublattice, no on-site potential) is diagonalized
+    from the SVD of its ``N_A x N_B`` hopping block ``C``: energies ``+-s``
+    and modes ``(u, +-v)/sqrt(2)``, plus ``|N_A - N_B|`` exact zero modes.
+    Every other lattice, disordered ones included, goes through ``eigh`` of
+    the full matrix.  Either way the reconstruction residual is measured.
+    """
+    h = lattice.hamiltonian
+    a = _sublattice_split(lattice)
     try:
-        energies, modes = np.linalg.eigh(h)
+        energies, modes = np.linalg.eigh(h) if a is None else _chiral_modes(h, a)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigendecomposition failed: {exc}") from exc
     return _eigensystem(h, energies, modes)
@@ -323,7 +381,8 @@ class DynamicalSpectrum:
     entries, where the condition does not apply), evaluated at the root's
     offset from its pole rather than at the rounded ``lambda``.
     ``modes[:, k]`` is the right eigenvector, of unit 2-norm with its
-    largest-modulus component real positive.
+    largest-modulus component (the first one within ``PEAK_RTOL`` of it)
+    real positive.
     """
 
     eigenvalues: np.ndarray
@@ -407,6 +466,12 @@ def _secular_roots(energies: np.ndarray, half_rates: np.ndarray) -> np.ndarray:
     )
 
 
+def _peak_components(vecs: np.ndarray) -> np.ndarray:
+    """Per row, the first component within ``PEAK_RTOL`` of the row's largest modulus."""
+    mags = np.abs(vecs)
+    return np.argmax(mags >= (1.0 - PEAK_RTOL) * mags.max(axis=1, keepdims=True), axis=1)
+
+
 def dynamical_spectrum(
     a_matrix: np.ndarray | DrainCoupling | None = None,
     coupling: DrainCoupling | None = None,
@@ -420,7 +485,8 @@ def dynamical_spectrum(
     ``_secular_roots`` as offsets from their own poles, and its right
     eigenvectors have the closed form ``u_k,j ~ s_j / (eps_j - lambda_k)``,
     normalized to unit 2-norm with the largest-modulus component real
-    positive (the LAPACK convention).  Eigenvectors and consistency
+    positive (the LAPACK convention; ties within ``PEAK_RTOL`` go to the
+    first component).  Eigenvectors and consistency
     residuals are evaluated at the anchored roots, so a root next to a
     nearly-dark pole is not rounded to ``eps_k + delta_k`` first.
 
@@ -460,7 +526,7 @@ def dynamical_spectrum(
         residuals[:nb] = np.abs(-1j * (inv @ half_rates) - 1.0)
         # row k becomes u_k,j ~ s_j / (eps_j - lambda_k), then is normalized
         vecs = np.multiply(inv, s[bright], out=inv)
-        peak = (np.arange(nb), np.argmax(np.abs(vecs), axis=1))
+        peak = (np.arange(nb), _peak_components(vecs))
         vecs *= (vecs[peak].conj() / np.abs(vecs[peak]) / np.linalg.norm(vecs, axis=1))[:, None]
         vecs[peak] = vecs[peak].real
         eigenvalues[:nb] = vals[order]

@@ -8,14 +8,14 @@ so the stationary second moments solve a pair of Sylvester equations.  With
 ``H = Psi diag(eps) Psi^dag`` the drift is ``Psi (-iA - (loss/2) I) Psi^dag``,
 and :mod:`spectral` diagonalizes the diagonal-plus-rank-one ``A`` from its
 secular equation, so a :class:`DrainedSystem` gets the drift eigenbasis in
-closed form from one ``eigh``.  The diffusion acts on the drain site alone,
-so each equation is solved from that rank-one term by dividing by eigenvalue
-sums in that frame, then corrected once against the true drift.  A
-Bartels-Stewart (Schur) basis takes over at exceptional points, where the
-closed-form inverse fails; that route alone imports SciPy (``schur`` and
-LAPACK ``ztrsyl``), so every other solve runs on NumPy.  Loss only shifts
-the eigenvalues, or the Schur factor's diagonal, so one system serves every
-loss value.
+closed form from one diagonalization of ``H``.  The diffusion acts on the
+drain site alone, so each equation is solved from that rank-one term by
+dividing by eigenvalue sums in that frame, then corrected once against the
+true drift.  A Bartels-Stewart (Schur) basis takes over at and near
+exceptional points, where the closed-form inverse fails; that route alone
+imports SciPy (``schur`` and LAPACK ``ztrsyl``), so every other solve runs
+on NumPy.  Loss only shifts the eigenvalues, or the Schur factor's diagonal,
+so one system serves every loss value.
 
 The state is stored as the normal matrix ``<adag_m a_n>`` and the anomalous
 matrix ``<a_m a_n>``.  The quadrature convention throughout the package is
@@ -212,9 +212,11 @@ def _diffusion(
     return qn, qm
 
 
-# Past this inverse defect max|V^-1 V - I| (O(1) at an exceptional point, ~1e-7
-# just off one) the closed-form drift eigenbasis gives way to a Schur basis.
-_INVERSE_DEFECT_LIMIT = 1e-6
+# Past this inverse defect max|V^-1 V - I| the closed-form drift eigenbasis
+# gives way to a Schur basis.  It is O(1) at an exceptional point and already
+# costs the closed form its residual gate at 4e-9 just off one (the drained
+# dimer at gamma = 4 - 1e-8); flux lattices and chains read 3e-16 to 3e-14.
+_INVERSE_DEFECT_LIMIT = 1e-11
 
 
 class _MomentSolver:
@@ -277,7 +279,7 @@ class _MomentSolver:
 class DrainedSystem:
     """A lattice drained at one site with rate ``gamma``, solvable at any loss.
 
-    Built on first use from one ``eigh`` of the lattice: the drain
+    Built on first use from one ``diagonalize`` of the lattice: the drain
     :attr:`coupling` and the secular :attr:`spectrum` of ``A = diag(eps) -
     (i/2) s s^T``.  ``A`` is complex symmetric (``s``, the drain amplitudes,
     is real in the coupling's gauge), so its eigenvectors ``U`` scaled to

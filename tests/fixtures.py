@@ -4,7 +4,8 @@
 whose steady states are pure and given by the closed form;
 ``certification_fixtures`` adds chiral systems that do carry dark modes,
 usable for symmetry certification but not for unique steady states.
-``count_calls`` records the calls of a monkeypatched function;
+``count_calls`` records the calls of a monkeypatched function and
+``count_factorizations`` those of every dense NumPy factorization;
 ``fresh_python`` runs code in a new interpreter, which has imported nothing.
 """
 
@@ -76,6 +77,19 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+DENSE_FACTORIZATIONS = ("eig", "eigh", "svd", "cond", "inv")
+
+
+def count_factorizations(monkeypatch):
+    """Call lists of the dense ``numpy.linalg`` factorizations, by name."""
+    return {name: count_calls(monkeypatch, np.linalg, name) for name in DENSE_FACTORIZATIONS}
+
+
+def factorization_counts(calls) -> dict:
+    """Calls made per factorization, leaving out those never called."""
+    return {name: len(c) for name, c in calls.items() if c}
 
 
 def fresh_python(code: str, cwd=None) -> str:

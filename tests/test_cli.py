@@ -12,25 +12,16 @@ from chiraldrain import cli
 from chiraldrain import lattice as lat
 from chiraldrain import spectral, steady
 
-from fixtures import count_calls, fresh_python
+from fixtures import count_calls, count_factorizations, factorization_counts, fresh_python
 
 
 def run(*args):
     return cli.main(list(args))
 
 
-def count_factorizations(monkeypatch):
-    """Call lists of the dense numpy factorizations a command could make."""
-    return {
-        name: count_calls(monkeypatch, np.linalg, name)
-        for name in ("eigh", "eig", "cond", "inv")
-    }
-
-
-def assert_one_eigh(calls):
-    assert {name: len(c) for name, c in calls.items()} == {
-        "eigh": 1, "eig": 0, "cond": 0, "inv": 0
-    }
+def assert_one_svd(calls):
+    # flux lattices have no bond inside a sublattice: one SVD of the hopping block
+    assert factorization_counts(calls) == {"svd": 1}
 
 
 class TestBuild:
@@ -159,12 +150,12 @@ class TestSteady:
 
     def test_one_dense_factorization(self, tmp_path, monkeypatch):
         # the spectrum comes from its secular equation and the drift eigenbasis
-        # from the spectrum in closed form: eigh(H) is the only factorization,
-        # also for the lossless solve with its dark-mode census
+        # from the spectrum in closed form: diagonalizing H is the only
+        # factorization, also for the lossless solve with its dark-mode census
         for loss in ("1e-3", "0"):
             calls = count_factorizations(monkeypatch)
             assert run("steady", "--half-size", "4", "--loss", loss, "--out", str(tmp_path)) == 0
-            assert_one_eigh(calls)
+            assert_one_svd(calls)
 
 
 class TestSteadyOutputs:
@@ -220,7 +211,7 @@ class TestSpectrum:
     def test_one_dense_factorization(self, tmp_path, monkeypatch):
         calls = count_factorizations(monkeypatch)
         assert run("spectrum", "--half-size", "4", "--out", str(tmp_path)) == 0
-        assert_one_eigh(calls)
+        assert_one_svd(calls)
 
     def test_unconverged_roots_exit_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(spectral, "SECULAR_MAX_SWEEPS", 1)
@@ -233,7 +224,7 @@ class TestCheck:
     def test_one_dense_factorization(self, tmp_path, monkeypatch):
         calls = count_factorizations(monkeypatch)
         assert run("check", "--half-size", "4", "--out", str(tmp_path)) == 0
-        assert_one_eigh(calls)
+        assert_one_svd(calls)
 
     def test_hofstadter_bipartite_passes(self, tmp_path, capsys):
         code = run(
@@ -420,7 +411,7 @@ class TestSweep:
         args[args.index("--values") + 1] = "1e-3,1e-2,1e-1,0.5"
         args[args.index("--ensemble") + 1] = "1"
         assert run(*args, "--jobs", "1") == 0
-        assert_one_eigh(calls)
+        assert_one_svd(calls)
 
     def test_disorder_sweep_factorizes_each_realization(self, tmp_path, monkeypatch):
         calls = count_factorizations(monkeypatch)
@@ -429,8 +420,8 @@ class TestSweep:
             "--values", "1e-4,1e-3", "--ensemble", "2", "--jobs", "1", "--out", str(tmp_path),
         )
         assert code == 0
-        assert len(calls["eigh"]) == 4
-        assert not (calls["eig"] or calls["cond"] or calls["inv"])
+        # on-site disorder fills the sublattice blocks: one eigh per realization
+        assert factorization_counts(calls) == {"eigh": 4}
 
     def test_loss_sweep_checks_each_shifted_solve(self, tmp_path, capsys):
         # drain (1,1) of the 3x3 lattice leaves a dark mode: the loss-free drift

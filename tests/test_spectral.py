@@ -9,7 +9,13 @@ from scipy.optimize import linear_sum_assignment
 from chiraldrain import lattice as lat
 from chiraldrain import spectral as sp
 
-from fixtures import certification_fixtures, chiral_fixtures
+from fixtures import (
+    certification_fixtures,
+    chiral_fixtures,
+    count_factorizations,
+    factorization_counts,
+    inversion_chain,
+)
 
 
 def coupled(lattice, drain, gamma=1.0):
@@ -45,6 +51,85 @@ class TestDiagonalize:
         assert ortho < 1e-10
         scale = max(np.abs(eig.energies).max(), 1.0)
         assert eig.residual < 1e-10 * scale
+
+
+def _sublattice_cases():
+    cases = [(f"chain-{n}", lat.build_chain(n)) for n in range(2, 13)]
+    # unequal sublattices: 3 against 7 and 7 against 2 sites force zero modes
+    for name, labels, seed in (
+        ("bipartite-3-7", [0, 1, 1, 0, 1, 1, 1, 0, 1, 1], 4),
+        ("bipartite-7-2", [0, 0, 1, 0, 0, 0, 1, 0, 0], 7),
+    ):
+        cases.append((name, lat.build_bipartite_random(labels, seed=seed)))
+    fluxes = (("0", 0.0), ("pi3", np.pi / 3), ("2pi5", 2 * np.pi / 5), ("pi2", np.pi / 2))
+    for m in (2, 8, 12):
+        for label, flux in fluxes:
+            cases.append((f"hofstadter-{2 * m + 1}-{label}", lat.build_hofstadter(m, 1.0, flux)))
+    return cases
+
+
+def _with_bond(lattice, i, j, value):
+    h = lattice.hamiltonian.copy()
+    h[i, j] += value
+    h[j, i] += np.conj(value)
+    return lat.Lattice(h, lattice.sites, lattice.model)
+
+
+class TestSublatticeRoute:
+    """Lattices whose sublattice blocks of H vanish are diagonalized from the
+    SVD of their hopping block; ``eigh`` of the same matrix is the oracle."""
+
+    @pytest.mark.parametrize("case", _sublattice_cases(), ids=lambda c: c[0])
+    def test_matches_eigh(self, case, monkeypatch):
+        _, lattice = case
+        calls = count_factorizations(monkeypatch)
+        eig = sp.diagonalize(lattice)
+        assert factorization_counts(calls) == {"svd": 1}
+        monkeypatch.undo()
+        h, n = lattice.hamiltonian, lattice.n_sites
+        energies, modes = np.linalg.eigh(h)
+        scale = max(1.0, np.abs(energies).max())
+        assert np.abs(eig.energies - energies).max() <= 1e-14 * scale
+        assert np.all(np.diff(eig.energies) >= 0)
+        assert eig.residual <= 1e-14 * scale
+        assert np.abs(eig.modes.conj().T @ eig.modes - np.eye(n)).max() <= 1e-14
+        labels = lattice.sublattice_labels
+        imbalance = abs(int((labels == 0).sum()) - int((labels == 1).sum()))
+        assert (eig.energies == 0).sum() >= imbalance
+        # each degenerate cluster spans the oracle's subspace: the weight its
+        # modes leave outside that subspace bounds the projector difference,
+        # and a backward-stable pair of solvers keeps it within eps |H| / gap
+        weight = np.abs(modes.conj().T @ eig.modes) ** 2
+        for group in sp.degenerate_groups(energies, sp.DEGENERACY_RTOL * scale):
+            outside = np.ones(n, dtype=bool)
+            outside[group] = False
+            if outside.any():
+                gap = np.abs(energies[outside, None] - energies[group]).min()
+                leak = np.sqrt(weight[np.ix_(outside, group)].sum())
+                assert leak * gap <= 1e-14 * scale
+
+    @pytest.mark.parametrize(
+        "lattice",
+        [
+            inversion_chain(),
+            lat.add_disorder(lat.build_hofstadter(2, 1.0, np.pi / 2), 0.1, seed=1, exclude=(12,)),
+            _with_bond(lat.build_chain(4), 0, 2, 0.3),
+            _with_bond(lat.build_chain(5), 1, 3, 0.3j),
+            lat.Lattice(lat.build_chain(4).hamiltonian, tuple(lat.Site(i) for i in range(4))),
+        ],
+        ids=[
+            "inversion-chain",
+            "disordered-hofstadter",
+            "bond-inside-sublattice-0",
+            "bond-inside-sublattice-1",
+            "unlabelled",
+        ],
+    )
+    def test_other_lattices_take_eigh(self, lattice, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        eig = sp.diagonalize(lattice)
+        assert factorization_counts(calls) == {"eigh": 1}
+        assert eig.residual <= 1e-14 * max(1.0, np.abs(eig.energies).max())
 
 
 class TestDrainCouplings:
