@@ -214,7 +214,7 @@ def _emit_config(cfg: _Config, out: str, command: str) -> None:
 
 def cmd_build(args) -> int:
     cfg = _Config(args, _MODEL_KEYS | _GLOBAL_KEYS | {"drain"})
-    lattice = _add_disorder(cfg, _resolve_lattice(cfg), cfg.values.get("drain"))
+    lattice = _add_disorder(cfg, _resolve_lattice(cfg), cfg.get("drain"))
     out = _out_dir(cfg)
     path = os.path.join(out, "lattice.json")
     lat.save_lattice(lattice, path)

@@ -74,8 +74,9 @@ class EigenSystem:
     """Orthonormal eigenbasis of a lattice matrix, sorted by energy.
 
     ``modes[:, i]`` is the wavefunction of energy ``energies[i]``;
-    ``residual`` is the max-norm reconstruction defect and
-    ``degenerate`` lists the index groups of flagged degenerate subspaces.
+    ``residual`` bounds the max-norm reconstruction defect (see
+    :func:`drain_couplings`) and ``degenerate`` lists the index groups of
+    flagged degenerate subspaces.
     """
 
     energies: np.ndarray
@@ -259,7 +260,8 @@ def drain_couplings(eig: EigenSystem, drain: int, gamma: float) -> DrainCoupling
     Mode ``i`` is flagged dark when ``Gbar_i < DARK_TOL * gamma / N``.
     Degenerate subspaces are first rotated so that at most one mode per
     subspace is bright; the completeness sum ``sum_i Gbar_i = gamma`` is
-    preserved by that rotation.
+    preserved by that rotation.  It moves ``Psi E Psi^dag`` by at most the
+    largest group spread ``E[g[-1]] - E[g[0]]``, added to ``eig.residual``.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -268,30 +270,25 @@ def drain_couplings(eig: EigenSystem, drain: int, gamma: float) -> DrainCoupling
         raise IndexError(f"drain index {drain} out of range 0..{n - 1}")
 
     modes = _rotate_degenerate(eig.modes, drain, eig.degenerate)
-    amps = modes[drain, :].copy()
-    raw = np.abs(amps) ** 2 * gamma
-    dark_mask = raw < DARK_TOL * gamma / max(n, 1)
+    ref = modes[drain, :].copy()
+    dark_mask = np.abs(ref) ** 2 * gamma < DARK_TOL * gamma / max(n, 1)
 
     # fix global phases: bright modes real positive at the drain, dark modes
-    # real positive at their first significant component
-    for i in range(n):
-        if dark_mask[i]:
-            col = modes[:, i]
-            j = int(np.argmax(np.abs(col)))
-            ref = col[j]
-        else:
-            ref = amps[i]
-        if abs(ref) > 0:
-            modes[:, i] = modes[:, i] * (ref.conj() / abs(ref))
-    amps = modes[drain, :]
+    # real positive at their first largest component; np.hypot, not np.abs,
+    # whose vectorized modulus can differ in the last bit and move the outputs
+    dark = np.nonzero(dark_mask)[0]
+    ref[dark] = modes[np.argmax(np.abs(modes[:, dark]), axis=0), dark]
+    mag = np.hypot(ref.real, ref.imag)
+    fix = mag > 0
+    modes[:, fix] *= ref[fix].conj() / mag[fix]
 
-    rates = np.where(dark_mask, 0.0, np.abs(amps) ** 2 * gamma)
-    h_eff = (modes * eig.energies) @ modes.conj().T
-    drift = float(np.abs((eig.modes * eig.energies) @ eig.modes.conj().T - h_eff).max())
+    rates = np.where(dark_mask, 0.0, np.abs(modes[drain, :]) ** 2 * gamma)
+    energies = eig.energies
+    spread = max((energies[g[-1]] - energies[g[0]] for g in eig.degenerate), default=0.0)
     rotated = EigenSystem(
-        energies=eig.energies.copy(),
+        energies=energies.copy(),
         modes=modes,
-        residual=eig.residual + drift,
+        residual=eig.residual + float(spread),
         degenerate=eig.degenerate,
     )
     return DrainCoupling(
@@ -299,7 +296,7 @@ def drain_couplings(eig: EigenSystem, drain: int, gamma: float) -> DrainCoupling
         drain=drain,
         gamma=gamma,
         rates=rates,
-        dark=tuple(int(i) for i in np.nonzero(dark_mask)[0]),
+        dark=tuple(int(i) for i in dark),
     )
 
 
@@ -507,14 +504,13 @@ def dynamical_spectrum(
     modes = np.zeros((n, n), dtype=complex)
     is_dark = np.zeros(n, dtype=bool)
 
-    dark_idx = np.nonzero(~bright)[0]
-    for pos, i in enumerate(dark_idx):
-        eigenvalues[n - dark_idx.size + pos] = energies[i]
-        modes[i, n - dark_idx.size + pos] = 1.0
-        is_dark[n - dark_idx.size + pos] = True
+    dark = np.nonzero(~bright)[0]
+    nb = n - dark.size
+    eigenvalues[nb:] = energies[dark]
+    modes[dark, np.arange(nb, n)] = 1.0
+    is_dark[nb:] = True
 
     s = np.sqrt(coupling.rates)
-    nb = int(bright.sum())
     if nb:
         half_rates = 0.5 * coupling.rates[bright]
         bright_energies = energies[bright]

@@ -212,11 +212,13 @@ def _diffusion(
     return qn, qm
 
 
-# Past this inverse defect max|V^-1 V - I| the closed-form drift eigenbasis
-# gives way to a Schur basis.  It is O(1) at an exceptional point and already
-# costs the closed form its residual gate at 4e-9 just off one (the drained
-# dimer at gamma = 4 - 1e-8); flux lattices and chains read 3e-16 to 3e-14.
-_INVERSE_DEFECT_LIMIT = 1e-11
+# Past this eigenvalue condition number max_k 1/|u_k^T u_k| (unit-norm u_k,
+# its own left eigenvector as A is complex symmetric) a Schur basis replaces
+# the closed-form one.  The drained dimer at gamma = 4 + offset reads
+#     offset   1e-9    -1e-8   1e-7   1e-6   1e-5   1e-4
+#     kappa    44721   14142   4472   1414   447    141
+# and its closed form fails up to 1e-7; flux lattices read 1.0-3.7, chains <= 5.
+_CONDITION_LIMIT = 1e3
 
 
 class _MomentSolver:
@@ -288,9 +290,10 @@ class DrainedSystem:
     kappa/2``.  Each moment equation is solved from its rank-one diffusion in
     that basis, ``M = V [-Gamma anom g_k g_l / (mu_k + mu_l)] V^T`` with
     ``g = V^-1 e_drain`` (dark modes have ``g_k = 0``), then corrected once
-    against the true drift.  When ``max|V^-1 V - I|`` exceeds
-    ``_INVERSE_DEFECT_LIMIT`` the same steps run in the Schur basis of the
-    loss-free drift, factored once per system.
+    against the true drift.  Past ``_CONDITION_LIMIT`` of ``max_k 1/|u_k^T
+    u_k|`` (at or near an exceptional point) ``V`` is not formed and the same
+    steps run in the Schur basis of the loss-free drift, factored once per
+    system.
     """
 
     def __init__(self, lattice: Lattice, drain: int, gamma: float):
@@ -310,15 +313,15 @@ class DrainedSystem:
 
     @cached_property
     def _eigenbasis(self):
-        """``(V, V^-1, max|V^-1 V - I|)``, with V and V^-1 None past the limit."""
+        """``(V, V^-1, kappa)``, with V and V^-1 None past the limit."""
         u = self.spectrum.modes
-        u = u / np.sqrt(np.einsum("ij,ij->j", u, u))
+        utu = np.einsum("ij,ij->j", u, u)
+        kappa = float(1.0 / np.abs(utu).min())
+        if kappa > _CONDITION_LIMIT:
+            return None, None, kappa
+        u = u / np.sqrt(utu)
         psi = self.coupling.eig.modes
-        vecs, vecs_inv = psi @ u, u.T @ psi.conj().T
-        defect = float(np.abs(vecs_inv @ vecs - np.eye(len(u))).max())
-        if defect <= _INVERSE_DEFECT_LIMIT:
-            return vecs, vecs_inv, defect
-        return None, None, defect
+        return psi @ u, u.T @ psi.conj().T, kappa
 
     @cached_property
     def _schur(self):

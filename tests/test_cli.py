@@ -498,11 +498,18 @@ class TestConfigFile:
             ("spectrum", "--half-size", "2", "--format", "csv"),
             ("check", "--half-size", "2"),
             ("sweep", "--half-size", "1", "--drain", "1,1", "--values", "1e-2,1e-1"),
+            # build has no --drain flag: its drain, spared by the disorder,
+            # comes from a config file
+            ("build", {"half_size": 2, "disorder_variance": 0.01, "drain": "1,1", "seed": 3}),
         ],
         ids=lambda args: args[0],
     )
     def test_resolved_config_reproduces_every_output(self, tmp_path, args):
         first, second = tmp_path / "first", tmp_path / "second"
+        if isinstance(args[-1], dict):
+            given = tmp_path / "given.json"
+            given.write_text(json.dumps(args[-1]))
+            args = (args[0], "--config", str(given))
         assert run(*args, "--out", str(first)) == 0
         config = str(first / "resolved_config.json")
         assert run(args[0], "--config", config, "--out", str(second)) == 0

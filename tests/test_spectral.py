@@ -161,22 +161,30 @@ class TestDrainCouplings:
         assert np.all(np.abs(amps.imag) <= 1e-15 * np.abs(amps))
         assert (amps.real > 0).all()
 
-    def test_degenerate_rotation_single_bright(self):
-        # zero-flux lattice has degenerate shells at every drain
-        lattice = lat.build_hofstadter(2, 1.0, 0.0)
+    @pytest.mark.parametrize(
+        "half_size, flux",
+        [(h, 0.0) for h in range(1, 9)] + [(8, np.pi / 3)],
+        ids=lambda v: f"{v:.3g}",
+    )
+    def test_degenerate_rotation_single_bright(self, half_size, flux):
+        # zero-flux lattices have degenerate shells at every drain; the
+        # 17x17 pi/3 lattice has 19 degenerate groups
+        lattice = lat.build_hofstadter(half_size, 1.0, flux)
         eig = sp.diagonalize(lattice)
         assert eig.degenerate
-        cpl = sp.drain_couplings(eig, lattice.site_index((1, 2)), 1.0)
+        cpl = sp.drain_couplings(eig, lattice.site_index((1, min(2, half_size))), 1.0)
         for group in cpl.eig.degenerate:
             bright_in_group = [i for i in group if i not in cpl.dark]
             assert len(bright_in_group) <= 1
         assert abs(cpl.rates.sum() - 1.0) < 1e-10
-        # the rotated basis still reconstructs the matrix
+        # the rotated basis still reconstructs the matrix, within the residual
+        # it reports: the measured one plus the largest group spread
         scale = max(np.abs(eig.energies).max(), 1.0)
         recon = np.abs(
             lattice.hamiltonian
             - (cpl.eig.modes * cpl.eig.energies) @ cpl.eig.modes.conj().T
         ).max()
+        assert recon <= cpl.eig.residual + 4 * np.finfo(float).eps * scale
         assert recon < 1e-10 * scale
 
     def test_drain_out_of_range(self):

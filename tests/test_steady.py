@@ -58,6 +58,24 @@ def coupling_and_pairing(lattice, drain, gamma=1.0):
     return cpl, sp.chiral_pairing(cpl)
 
 
+def product_logger(products):
+    """An array type that appends the operand shapes of each matrix product
+    it enters to ``products``; the arrays computed from it log too."""
+
+    class Logged(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = lambda xs: [x.view(np.ndarray) if isinstance(x, Logged) else x for x in xs]
+            inputs = plain(inputs)
+            if "out" in kwargs:
+                kwargs["out"] = tuple(plain(kwargs["out"]))
+            if ufunc is np.matmul:
+                products.append([np.shape(x) for x in inputs])
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            return result.view(Logged) if isinstance(result, np.ndarray) else result
+
+    return Logged
+
+
 class TestSqueezedNoise:
     def test_values(self):
         noise = steady.SqueezedNoise(r=1.0, phi=0.3)
@@ -196,8 +214,8 @@ class TestSteadyState:
         lattice = lat.build_chain(5, [0.7, 1.2, 0.4, 1.5])
         system = steady.DrainedSystem(lattice, 0, 1.0)
         noise = steady.SqueezedNoise(0.8)
-        # the closed-form inverse passes the selector, so the Schur path is forced
-        assert system._eigenbasis[2] <= steady._INVERSE_DEFECT_LIMIT
+        # the closed-form basis passes the selector, so the Schur path is forced
+        assert system._eigenbasis[2] <= steady._CONDITION_LIMIT
         z, z_inv, t = system._schur
         for loss in (0.0, 0.05):
             fast = system._solver(loss)
@@ -224,17 +242,7 @@ class TestSteadyState:
 
     def test_lossy_solve_makes_sixteen_matrix_products(self, monkeypatch):
         products = []
-
-        class Logged(np.ndarray):
-            """Arrays that log the operand shapes of each matrix product they enter."""
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                inputs = [x.view(np.ndarray) if isinstance(x, Logged) else x for x in inputs]
-                if ufunc is np.matmul:
-                    products.append([np.shape(x) for x in inputs])
-                result = getattr(ufunc, method)(*inputs, **kwargs)
-                return result.view(Logged) if isinstance(result, np.ndarray) else result
-
+        Logged = product_logger(products)
         make_solver = steady.DrainedSystem._solver
 
         def logged_solver(system, site_loss):
@@ -351,21 +359,62 @@ class TestDrainedSystem:
         lattice, gamma, noise = lat.build_chain(2), 4.0, steady.SqueezedNoise(1.0, 0.3)
         system = steady.DrainedSystem(lattice, 0, gamma)
         state = system.steady_state(noise, site_loss=loss)
-        assert system._eigenbasis[2] > steady._INVERSE_DEFECT_LIMIT
+        assert system._eigenbasis[2] > steady._CONDITION_LIMIT
         assert system._solver(loss).t.ndim == 2  # the triangular Schur factor
         normal, anomalous = sylvester_reference(lattice, 0, gamma, noise, loss)
         assert relative_gap(state, normal, anomalous) <= 1e-12
 
     @pytest.mark.parametrize("loss", [0.0, 0.01])
-    @pytest.mark.parametrize("offset", [1e-9, -1e-8, 1e-7, 1e-6])
+    @pytest.mark.parametrize("offset", [1e-9, -1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
     def test_near_exceptional_point_matches_sylvester(self, offset, loss):
-        # just off gamma = 4 the closed-form V^-1 carries an inverse defect far
-        # above rounding; whichever basis the limit picks must meet the oracle
+        # just off gamma = 4 the eigenvalue condition number max 1/|u^T u| runs
+        # from 4.5e4 down to 45; the limit sends the first four offsets to the
+        # Schur basis and the last three to the closed form, and either must
+        # meet the oracle
         lattice, gamma = lat.build_chain(2), 4.0 + offset
         noise = steady.SqueezedNoise(1.0, 0.3)
-        state = steady.DrainedSystem(lattice, 0, gamma).steady_state(noise, site_loss=loss)
+        system = steady.DrainedSystem(lattice, 0, gamma)
+        state = system.steady_state(noise, site_loss=loss)
+        assert system._solver(loss).t.ndim == (2 if abs(offset) <= 1e-6 else 1)
         normal, anomalous = sylvester_reference(lattice, 0, gamma, noise, loss)
         assert relative_gap(state, normal, anomalous) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "lattice, drain, gamma, basis_products, solve_products",
+        [
+            # V and V^-1, then the solve's 16 products, all with the logged modes
+            (lat.build_hofstadter(4, 1.0, np.pi / 2), 60, 3.0, 2, 16),
+            # the exceptional point: the Schur route solves with Z, not the modes
+            (lat.build_chain(2), 0, 4.0, 0, 0),
+        ],
+        ids=["eigenbasis", "schur"],
+    )
+    def test_coupling_and_route_make_no_square_product(
+        self, monkeypatch, lattice, drain, gamma, basis_products, solve_products
+    ):
+        # every array computed from the eigenmodes of H logs its N x N products
+        products = []
+        Logged = product_logger(products)
+        diagonalize = steady.diagonalize
+
+        def logged_diagonalize(lattice):
+            eig = diagonalize(lattice)
+            return sp.EigenSystem(
+                eig.energies, eig.modes.view(Logged), eig.residual, eig.degenerate
+            )
+
+        monkeypatch.setattr(steady, "diagonalize", logged_diagonalize)
+        n = lattice.n_sites
+        square = lambda: [p for p in products if p == [(n, n), (n, n)]]
+        system = steady.DrainedSystem(lattice, drain, gamma)
+        assert isinstance(system.coupling.eig.modes, Logged)
+        system.spectrum
+        assert square() == []
+        vecs, vecs_inv, _ = system._eigenbasis
+        assert (vecs is None, vecs_inv is None) == (basis_products == 0,) * 2
+        assert square() == [[(n, n), (n, n)]] * basis_products
+        system.steady_state(steady.SqueezedNoise(1.0, 0.3), site_loss=1e-3)
+        assert len(square()) == basis_products + solve_products
 
     def test_spectrum_builds_no_dense_dynamical_matrix(self, monkeypatch):
         dense = []
