@@ -261,6 +261,7 @@ def cmd_steady(args) -> int:
     system = steady.DrainedSystem(lattice, spec.drain, spec.gamma)
     coupling, spectrum = system.coupling, system.spectrum
     state = system.steady_state(spec.noise, spec.site_loss)
+    log_mu = steady.log_purity(state)  # an unphysical state writes no files
 
     with open(os.path.join(out, "state.json"), "w") as fh:
         steady.write_state_json(state, fh)
@@ -277,7 +278,6 @@ def cmd_steady(args) -> int:
         np.abs(state.anomalous[ref, :, None]) / scale,
     )
 
-    log_mu = steady.log_purity(state)
     _emit_config(cfg, out, "steady")
     print(f"wrote state.json, heatmap.csv, slice.csv in {out}")
     print(

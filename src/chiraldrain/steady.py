@@ -607,30 +607,76 @@ def evolve(
     return Trajectory(times=np.asarray(times), states=tuple(states))
 
 
-def _pair_rows(mat: np.ndarray):
-    """Each row of a complex matrix as a list of [re, im] pairs of floats."""
-    pairs = np.ascontiguousarray(mat, dtype=complex).view(float)
-    return (row.reshape(-1, 2).tolist() for row in pairs)
+def _pairs(mat: np.ndarray) -> np.ndarray:
+    """A complex matrix as an (n, m, 2) array of its re, im floats."""
+    return np.ascontiguousarray(mat, dtype=complex).view(float).reshape(*mat.shape, 2)
 
 
 def state_to_dict(state: CovarianceState) -> dict:
     """JSON-ready form with complex entries encoded as [re, im] pairs."""
     return {
         "n_modes": state.n_modes,
-        "normal": list(_pair_rows(state.normal)),
-        "anomalous": list(_pair_rows(state.anomalous)),
+        "normal": _pairs(state.normal).tolist(),
+        "anomalous": _pairs(state.anomalous).tolist(),
         "residual": state.residual,
     }
 
 
+_SIGN_BIT = np.int64(-(2**63))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``json.dumps``'s spelling of each float: its repr, or NaN/Infinity."""
+    text = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)):
+        text[k] = json.dumps(values[k].item())
+    return text
+
+
+def _write_matrix(mat: np.ndarray, fh) -> None:
+    """Write a complex matrix as JSON rows of [re, im] pairs, taking the text
+    of each float below the diagonal from its mirror's where it can."""
+    n, m = mat.shape
+    floats = _pairs(mat)
+    bits = floats.view(np.int64)
+    upper = np.empty((n, m, 2), object)  # texts that later rows still mirror
+    row = "[%s]" % ", ".join(["[%s, %s]"] * m)
+    for i in range(n):
+        k = i if i < m else 0  # entries (i, j < k) have a mirror (j, i)
+        upper[i, k:] = np.array(_json_floats(floats[i, k:].ravel()), object).reshape(-1, 2)
+        values = []
+        if k:
+            low, low_bits, mirror_bits = upper[:k, i].copy(), bits[i, :k], bits[:k, i]
+            # repr(-x) is repr(x) with its sign toggled for every finite x, -0.0 too
+            negated = (low_bits == (mirror_bits ^ _SIGN_BIT)) & np.isfinite(floats[:k, i])
+            rest = (low_bits != mirror_bits) & ~negated
+            low[negated] = [t[1:] if t[0] == "-" else "-" + t for t in low[negated]]
+            low[rest] = _json_floats(floats[i, :k][rest])
+            upper[:k, i] = None
+            values = low.ravel().tolist()
+        fh.write((", " + row if i else row) % tuple(values + upper[i, k:].ravel().tolist()))
+
+
 def write_state_json(state: CovarianceState, fh) -> None:
-    """Write ``json.dumps(state_to_dict(state))`` to a text file, encoding one
-    matrix row at a time instead of building the nested lists first."""
+    """Write ``json.dumps(state_to_dict(state))`` to a text file, one matrix
+    row at a time.
+
+    The moment matrices are structured: the anomalous one is symmetric and
+    the normal one Hermitian, to the last bit for solver states, whose
+    solves end by symmetrizing.  So the floats on and above the diagonal are
+    formatted once each, and a float below it that is bitwise equal to its
+    mirror reuses the mirror's text, while one bitwise equal to the mirror's
+    negation (the imaginary parts of a Hermitian matrix) takes that text with
+    its leading ``-`` toggled.  ``repr(-x)`` is ``repr(x)`` with the sign
+    toggled for every finite ``x``, so the bytes are those of the
+    ``json.dumps`` route for any state.  Every other float below the diagonal
+    is formatted on its own, and NaN and infinities keep ``json``'s
+    spellings.  Only the texts that later rows still mirror are held.
+    """
     fh.write('{"n_modes": %s' % json.dumps(state.n_modes))
     for key, mat in (("normal", state.normal), ("anomalous", state.anomalous)):
         fh.write(', "%s": [' % key)
-        for i, row in enumerate(_pair_rows(mat)):
-            fh.write(", " + json.dumps(row) if i else json.dumps(row))
+        _write_matrix(mat, fh)
         fh.write("]")
     fh.write(', "residual": %s}' % json.dumps(state.residual))
 

@@ -156,7 +156,7 @@ def test_criterion_5_dynamical_spectrum():
     for name, lattice, drain in chiral_fixtures():
         gamma = 1.7
         coupling = sp.drain_couplings(sp.diagonalize(lattice), drain, gamma)
-        spectrum = sp.dynamical_spectrum(sp.dynamical_matrix(coupling), coupling)
+        spectrum = sp.dynamical_spectrum(coupling)
         bright = ~spectrum.is_dark
         assert (spectrum.eigenvalues[bright].imag < -1e-12 * gamma).all(), name
         assert np.nanmax(spectrum.residuals) < 1e-8, name
@@ -280,7 +280,7 @@ def test_criterion_10_relaxation_rate():
     spec = steady.DrainSpec(0, 1.0, steady.SqueezedNoise(1.0))
     target = steady.steady_state(lattice, spec)
     coupling = sp.drain_couplings(sp.diagonalize(lattice), 0, 1.0)
-    rate = sp.dynamical_spectrum(sp.dynamical_matrix(coupling), coupling).min_bright_decay
+    rate = sp.dynamical_spectrum(coupling).min_bright_decay
 
     vacuum = steady.CovarianceState(
         normal=np.zeros((3, 3), complex), anomalous=np.zeros((3, 3), complex)

@@ -97,6 +97,19 @@ class TestSteady:
         assert log_mu < -1e-6
         assert np.exp(log_mu) == pytest.approx(float(values["purity"]), rel=1e-11)
 
+    def test_unphysical_state_writes_no_files(self, tmp_path, monkeypatch):
+        def unphysical(state):
+            raise ValueError("covariance is unphysical")
+
+        monkeypatch.setattr(steady, "log_purity", unphysical)
+        code = run(
+            "steady", "--model", "chain", "--sites", "4", "--drain", "0",
+            "--loss", "0.02", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert not (tmp_path / "state.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_squeezing_zero_heatmap(self, tmp_path):
         run(
             "steady", "--model", "chain", "--sites", "3", "--drain", "0",

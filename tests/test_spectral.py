@@ -279,7 +279,7 @@ class TestDynamicalSpectrum:
     def test_single_site_exact(self):
         gamma = 0.9
         cpl = coupled(lat.build_chain(1, potentials=[1.5]), 0, gamma)
-        spec = sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+        spec = sp.dynamical_spectrum(cpl)
         assert np.allclose(spec.eigenvalues, [1.5 - 0.5j * gamma])
         assert spec.residuals[0] < 1e-14
 
@@ -287,7 +287,7 @@ class TestDynamicalSpectrum:
     def test_bright_decay_and_consistency(self, case):
         name, lattice, drain = case
         cpl = coupled(lattice, drain, 1.7)
-        spec = sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+        spec = sp.dynamical_spectrum(cpl)
         bright = ~spec.is_dark
         assert (spec.eigenvalues[bright].imag < -1e-12 * 1.7).all()
         assert np.nanmax(spec.residuals) < 1e-8
@@ -295,7 +295,7 @@ class TestDynamicalSpectrum:
 
     def test_center_drain_dark_eigenvalue_exact_zero(self):
         cpl = coupled(lat.build_chain(3), 1, 1.0)
-        spec = sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+        spec = sp.dynamical_spectrum(cpl)
         dark_values = spec.eigenvalues[spec.is_dark]
         assert dark_values.size == 1
         # the dark eigenvalue is the bare zero-mode energy, bit-exactly
@@ -306,14 +306,14 @@ class TestDynamicalSpectrum:
     def test_eigenvalue_trace_preserved(self):
         cpl = coupled(lat.build_chain(5), 0, 2.0)
         a = sp.dynamical_matrix(cpl)
-        spec = sp.dynamical_spectrum(a, cpl)
+        spec = sp.dynamical_spectrum(cpl)
         assert np.isclose(spec.eigenvalues.sum(), np.trace(a))
 
     def test_report_serializable(self):
         import json
 
         cpl = coupled(lat.build_chain(3), 1, 1.0)
-        spec = sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+        spec = sp.dynamical_spectrum(cpl)
         text = json.dumps(sp.spectrum_report(cpl, spec))
         assert "dark_modes" in text
 
@@ -328,20 +328,19 @@ class TestDynamicalSpectrum:
         monkeypatch.setattr(np.linalg, "eig", counted)
         hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
         cpl = coupled(hof, hof.site_index((2, 2)), 3.0)
-        sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+        sp.dynamical_spectrum(cpl)
         assert calls == []
 
     def test_residual_flags_wrong_root(self, monkeypatch):
         hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
         cpl = coupled(hof, hof.site_index((2, 2)), 3.0)
-        a = sp.dynamical_matrix(cpl)
-        assert np.nanmax(sp.dynamical_spectrum(a, cpl).residuals) < 1e-12
+        assert np.nanmax(sp.dynamical_spectrum(cpl).residuals) < 1e-12
         roots = sp._secular_roots
         monkeypatch.setattr(
             sp, "_secular_roots", lambda eps, half: roots(eps, half) * (1 + 1e-6)
         )
         # one part in a million off every root is far above check's 1e-8 gate
-        assert np.nanmin(sp.dynamical_spectrum(a, cpl).residuals) > 1e-8
+        assert np.nanmin(sp.dynamical_spectrum(cpl).residuals) > 1e-8
 
     @pytest.mark.parametrize("case", certification_fixtures()[-3:], ids=lambda c: c[0])
     def test_dense_matrix_argument_is_ignored(self, case):
@@ -359,7 +358,7 @@ class TestDynamicalSpectrum:
         hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
         cpl = coupled(hof, hof.site_index((2, 2)), 3.0)
         with pytest.raises(sp.SolverError, match=r"\d+ of 81 roots did not converge"):
-            sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl)
+            sp.dynamical_spectrum(cpl)
 
 
 def polish_eigenvalue(lam, half_rates, energies, steps=3):
@@ -390,7 +389,7 @@ def polish_eigenvalue(lam, half_rates, energies, steps=3):
 def assert_matches_dense_eig(coupling):
     """dynamical_spectrum against a dense eig of the bright block, polished."""
     a = sp.dynamical_matrix(coupling)
-    spec = sp.dynamical_spectrum(a, coupling)
+    spec = sp.dynamical_spectrum(coupling)
     bright = coupling.bright
     nb = int(bright.sum())
     sub = a[np.ix_(bright, bright)]

@@ -1,3 +1,5 @@
+import io
+import json
 import pickle
 
 import numpy as np
@@ -711,7 +713,7 @@ class TestEvolve:
             normal=np.zeros((3, 3), complex), anomalous=np.zeros((3, 3), complex)
         )
         cpl = sp.drain_couplings(sp.diagonalize(lattice), 0, 1.0)
-        rate = sp.dynamical_spectrum(sp.dynamical_matrix(cpl), cpl).min_bright_decay
+        rate = sp.dynamical_spectrum(cpl).min_bright_decay
         t_final = 20.0 / rate
         traj = steady.evolve(lattice, spec, vacuum, t_final, dt=0.05)
         final = traj.states[-1]
@@ -754,3 +756,86 @@ class TestSerialization:
         for key in ("normal", "anomalous"):
             matrix = getattr(state, key)
             assert data[key] == [[[v.real, v.imag] for v in row] for row in matrix]
+
+
+def dict_route(state):
+    return json.dumps(steady.state_to_dict(state))
+
+
+def streamed(state):
+    fh = io.StringIO()
+    steady.write_state_json(state, fh)
+    return fh.getvalue()
+
+
+TINY = np.finfo(float).tiny
+FLOAT_KINDS = {
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "subnormal": st.floats(min_value=-TINY, max_value=TINY, exclude_min=True, exclude_max=True),
+    "signed-zero": st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0),
+    "nonfinite": st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]) | st.floats(),
+}
+
+
+@st.composite
+def moment_matrices(draw, n):
+    """A complex matrix of n rows: arbitrary (of any width), or square and
+    mirrored exactly, as solver moment matrices are, or up to signs."""
+    mirror = draw(st.sampled_from(["none", "symmetric", "hermitian", "negated"]))
+    m = draw(st.integers(0, 12)) if mirror == "none" else n
+    floats = st.lists(draw(st.sampled_from(list(FLOAT_KINDS.values()))), min_size=2 * n * m,
+                      max_size=2 * n * m)
+    x = np.array(draw(floats), dtype=float).view(complex).reshape(n, m)
+    i, j = np.tril_indices(n, -1)
+    if mirror == "symmetric":
+        x[i, j] = x[j, i]
+    elif mirror == "hermitian":
+        # the solver's symmetrization: mirrored off-diagonal zeros are +0.0 twice
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = 0.5 * (x + x.conj().T)
+    elif mirror == "negated":
+        # each lower float is its mirror or its mirror negated, -0.0 for 0.0 too
+        flip = np.array(draw(st.lists(st.booleans(), min_size=2 * len(i), max_size=2 * len(i))))
+        upper = x[j, i].view(float).ravel()
+        x[i, j] = np.where(flip, -upper, upper).view(complex)
+    return x
+
+
+class TestStreamedEncoding:
+    """write_state_json formats mirrored floats once and writes the dict route's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_matches_dict_route_byte_for_byte(self, data, n):
+        state = steady.CovarianceState(
+            normal=data.draw(moment_matrices(n)),
+            anomalous=data.draw(moment_matrices(n)),
+            residual=data.draw(st.floats()),
+        )
+        assert streamed(state) == dict_route(state)
+
+    def test_lossy_solver_state_17x17(self):
+        hof = lat.build_hofstadter(8, 1.0, np.pi / 3)
+        state = solve(hof, hof.site_index((2, 2)), 3.0, 1.0, 0.3, loss=1e-3)
+        assert streamed(state) == dict_route(state)
+
+    def test_closed_form_state(self):
+        hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
+        cpl, pairing = coupling_and_pairing(hof, hof.site_index((2, 2)), 3.0)
+        state = steady.analytic_chiral_state(cpl, pairing, steady.SqueezedNoise(0.8, 0.5))
+        assert streamed(state) == dict_route(state)
+
+    def test_mirrored_floats_are_formatted_once(self, monkeypatch):
+        formatted = []
+        json_floats = steady._json_floats
+
+        def count(values):
+            formatted.append(values.size)
+            return json_floats(values)
+
+        monkeypatch.setattr(steady, "_json_floats", count)
+        hof = lat.build_hofstadter(4, 1.0, np.pi / 2)
+        state = solve(hof, hof.site_index((2, 2)), 3.0, 0.8, loss=1e-3)
+        assert streamed(state) == dict_route(state)
+        # re and im of the entries on and above the diagonal of both matrices
+        assert sum(formatted) == 2 * 81 * 82
